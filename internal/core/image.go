@@ -50,6 +50,23 @@ const imageFormatVersion = 2
 // standardCounterSetTag names the only counter space this design ships.
 const standardCounterSetTag = "standard-936"
 
+// init numbers every type a firmware image carries with gob before any
+// other code can gob-encode. gob assigns wire type IDs process-wide in
+// first-use order and writes them into the stream, so an image's bytes —
+// and with them its CRC and what a transport bit flip does to it — would
+// otherwise depend on what the process encoded earlier (a cold telemetry
+// cache encodes its records first). Encoding one zero value of each, in
+// SaveController's order (the model kinds, then the image around them),
+// makes an image a pure function of its controller.
+func init() {
+	for _, v := range []any{&forest.Forest{}, &forest.Tree{}, &mlp.MLP{}, &linear.Logistic{},
+		&linear.SRCH{}, &svm.Linear{}, &svm.Ensemble{}, FirmwareImage{}} {
+		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+			panic(fmt.Sprintf("core: numbering %T for gob: %v", v, err))
+		}
+	}
+}
+
 // SaveController writes a controller as a firmware image: the gob-encoded
 // payload sealed in the mcu integrity envelope, so the deployment path can
 // detect bit corruption before a damaged model reaches a machine.
@@ -213,6 +230,15 @@ func decodeModel(b ModelBlob, name string, inputs int) (Predictor, error) {
 		m := &mlp.MLP{}
 		if err := dec.Decode(m); err != nil {
 			return nil, err
+		}
+		// The network reads the selected columns, or the whole counter
+		// space when none are selected.
+		width := inputs
+		if width == 0 {
+			width = telemetry.TotalCounters
+		}
+		if err := m.CheckShape(width); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
 		}
 		model = m
 	case "logistic":

@@ -357,8 +357,10 @@ func (s *Service) restore() error {
 // replaying its install against the same transport schedule that landed
 // it (original or re-flash seed) — flash outcomes are pure functions of
 // (seed, machine, phase), so the replay reproduces the identical
-// controller and profile. Events are dropped during the replay: the
-// backlog already carries the CRC rejections the original run recorded.
+// controller and profile; the spec copies share the service's one image
+// decode, so the replay costs a CRC check per untouched install. Events
+// are dropped during the replay: the backlog already carries the CRC
+// rejections the original run recorded.
 func (s *Service) recomputeProfiles() {
 	var ids []int
 	for m := range s.machines {

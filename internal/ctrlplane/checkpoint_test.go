@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clustergate/internal/core"
 	"clustergate/internal/fleet"
 	"clustergate/internal/obs"
 )
@@ -158,4 +159,59 @@ func TestCheckpointMismatchStartsFresh(t *testing.T) {
 		t.Errorf("corrupt checkpoint resumed at tick %d", s3.tick)
 	}
 	s3.Close()
+}
+
+// TestCheckpointedCampaignMatchesColdDecode holds the flash step's shared
+// image decode to cold decodes at campaign level: a corrupting campaign
+// with stragglers re-flashed, checkpointed and killed mid-flight so the
+// resume replays installs through the shared decode, must produce the
+// Report and event bytes of an uninterrupted run in which every untouched
+// install decodes the image from scratch.
+func TestCheckpointedCampaignMatchesColdDecode(t *testing.T) {
+	wl := testWorkload(t)
+	img := testController(t, wl.Cfg, -4, "cp-good")
+	cfg := testConfig(400)
+	cfg.CorruptProb = 0.3
+	cfg.FlashRetries = 0
+	cfg.Quorum = 0.5
+
+	memo := cfg
+	memo.CheckpointPath = filepath.Join(t.TempDir(), "memo.ckpt")
+	rep, ev := interruptResume(t, memo, memo, img, wl, 4)
+
+	cold := cfg
+	cold.CheckpointPath = filepath.Join(t.TempDir(), "cold.ckpt")
+	log := obs.NewEventLog()
+	obs.SetEventLog(log)
+	defer obs.SetEventLog(nil)
+	s, err := New(cold, img, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() (*core.GatingController, error) {
+		return core.LoadControllerUnverified(bytes.NewReader(img))
+	}
+	s.spec.Decode, s.reflash.Decode = decode, decode
+	repC, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evC bytes.Buffer
+	if err := log.WriteJSONL(&evC); err != nil {
+		t.Fatal(err)
+	}
+
+	reflashed := 0
+	for _, st := range repC.Rings {
+		reflashed += st.Reflashed
+	}
+	if reflashed == 0 || repC.CRCRejects == 0 {
+		t.Fatalf("campaign re-flashed %d stragglers after %d CRC rejects; need both", reflashed, repC.CRCRejects)
+	}
+	if !reflect.DeepEqual(rep, repC) {
+		t.Errorf("shared-decode report diverges from cold decodes:\n%+v\nvs\n%+v", rep, repC)
+	}
+	if !bytes.Equal(ev, evC.Bytes()) {
+		t.Error("shared-decode event log diverges from cold decodes")
+	}
 }

@@ -418,14 +418,15 @@ func New(cfg Config, img []byte, wl fleet.Workload) (*Service, error) {
 		s.scope = fmt.Sprintf("ctrlplane-seed%d", cfg.Seed)
 	}
 	s.spec = fleet.FlashSpec{
-		Seed: cfg.Seed, Img: img, Verify: cfg.Verify,
+		Seed: cfg.Seed, Img: img, Decode: fleet.DecodeOnce(img), Verify: cfg.Verify,
 		CorruptProb: cfg.CorruptProb, CorruptBits: cfg.CorruptBits,
 		FailProb: cfg.FlashFailProb, Retries: cfg.FlashRetries,
 		Scope: s.scope,
 	}
 	// The straggler re-flash pass draws a fresh schedule by salting the
 	// seed; reusing the install phase with the same seed would replay the
-	// exact CRC rejections that exhausted the machine.
+	// exact CRC rejections that exhausted the machine. It pushes the same
+	// image, so it shares the install spec's one decode.
 	s.reflash = s.spec
 	s.reflash.Seed = cfg.Seed ^ saltReflash
 	// CRC-reject events go through the durable recorder so checkpoint

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"clustergate/internal/core"
+	"clustergate/internal/dataset"
 )
 
 // sharedQuickEnv is built once; experiments exercise it read-only.
@@ -217,6 +219,32 @@ func TestPrintersProduceOutput(t *testing.T) {
 	for _, want := range []string{"Table 3", "Figure 4", "Figure 7", "Figure 10", "Table 5", "Table 6"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printer output missing %q", want)
+		}
+	}
+}
+
+// TestFig7MeanDeterministic: the mean residency is the same float on every
+// call. Residencies like 1/3 and 1/7 round differently depending on the
+// order they are summed in, so summing in map order made the results file
+// differ between runs in the last digits.
+func TestFig7MeanDeterministic(t *testing.T) {
+	e := &Env{}
+	for b := 0; b < 12; b++ {
+		tt := &dataset.TraceTelemetry{Benchmark: fmt.Sprintf("bench%02d", b)}
+		for i := 0; i < 3+b; i++ {
+			low := 0.5 // below the SLA: keep high-performance mode
+			if i%3 == 0 {
+				low = 1 // meets the SLA: gate
+			}
+			tt.HighPerf = append(tt.HighPerf, dataset.IntervalRecord{IPC: 1})
+			tt.LowPower = append(tt.LowPower, dataset.IntervalRecord{IPC: low})
+		}
+		e.SPECTel = append(e.SPECTel, tt)
+	}
+	_, want := Fig7Oracle(e)
+	for i := 0; i < 50; i++ {
+		if _, mean := Fig7Oracle(e); mean != want {
+			t.Fatalf("call %d: mean residency %v, first call %v", i, mean, want)
 		}
 	}
 }

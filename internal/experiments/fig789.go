@@ -25,13 +25,16 @@ func Fig7Oracle(e *Env) ([]Fig7Row, float64) {
 	sla := dataset.SLA{PSLA: 0.9}
 	groups := dataset.ByBenchmark(e.SPECTel)
 	var rows []Fig7Row
-	var sum float64
 	for name, tel := range groups {
-		r := dataset.OracleResidency(tel, sla)
-		rows = append(rows, Fig7Row{Benchmark: name, Residency: r})
-		sum += r
+		rows = append(rows, Fig7Row{Benchmark: name, Residency: dataset.OracleResidency(tel, sla)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Benchmark < rows[j].Benchmark })
+	// Sum in benchmark order: a float sum in map order differs in its
+	// last bits from run to run.
+	var sum float64
+	for _, r := range rows {
+		sum += r.Residency
+	}
 	return rows, sum / float64(len(rows))
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"clustergate/internal/core"
 	"clustergate/internal/obs"
@@ -66,9 +67,17 @@ func GuardrailStudy(e *Env, g *core.GatingController) (*GuardrailResult, error) 
 		a.refCycles += r.Reference.Cycles
 		a.refInstrs += r.Reference.Instrs
 	}
+	// Sum in benchmark order: a float sum in map order differs in its
+	// last bits from run to run.
+	names := make([]string, 0, len(byBench))
+	for name := range byBench {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var gainSum float64
 	n := 0
-	for _, a := range byBench {
+	for _, name := range names {
+		a := byBench[name]
 		if a.refCycles == 0 || a.adaptiveCycles == 0 || a.refEnergy == 0 {
 			continue
 		}

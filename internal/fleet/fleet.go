@@ -241,9 +241,13 @@ type Result struct {
 
 // Rollout observability, for run manifests: transport counters plus
 // latency histograms for individual flash attempts and whole-machine
-// soaks (the two wall-clock phases of a ring).
+// soaks (the two wall-clock phases of a ring). flashDecodes counts the
+// image decodes actually run: one per spec for the shared untouched image
+// plus one per corrupted payload that reached the decoder, so
+// decodes/attempts is the flash step's decode miss rate.
 var (
 	flashAttempts   = obs.NewCounter("fleet.flash.attempts")
+	flashDecodes    = obs.NewCounter("fleet.flash.decodes")
 	flashRetries    = obs.NewCounter("fleet.flash.retries")
 	crcRejections   = obs.NewCounter("fleet.crc.rejections")
 	machinesExposed = obs.NewCounter("fleet.machines.exposed")

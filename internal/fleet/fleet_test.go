@@ -32,7 +32,13 @@ func testWorkload(t *testing.T) (Workload, []byte) {
 		Cfg:    cfg,
 		PM:     power.DefaultModel(),
 	}
+	return wl, testImage(t, cfg)
+}
 
+// testImage seals testWorkload's never-gating controller; it simulates
+// nothing, so flash-step tests that need only the image run in -short.
+func testImage(t *testing.T, cfg dataset.Config) []byte {
+	t.Helper()
 	cs := telemetry.NewStandardCounterSet()
 	cols, err := core.ColumnsByName(cs, telemetry.Table4Names())
 	if err != nil {
@@ -59,7 +65,7 @@ func testWorkload(t *testing.T) (Workload, []byte) {
 	if err := core.SaveController(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	return wl, buf.Bytes()
+	return buf.Bytes()
 }
 
 // looseGate promotes unless transport or soak health collapses entirely.

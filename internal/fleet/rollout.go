@@ -43,7 +43,7 @@ func Run(cfg Config, img []byte, wl Workload) (*Result, error) {
 		ro.scope = fmt.Sprintf("rollout-seed%d", cfg.Seed)
 	}
 	ro.spec = FlashSpec{
-		Seed: cfg.Seed, Img: img, Verify: cfg.Verify,
+		Seed: cfg.Seed, Img: img, Decode: DecodeOnce(img), Verify: cfg.Verify,
 		CorruptProb: cfg.CorruptProb, CorruptBits: cfg.CorruptBits,
 		FailProb: cfg.FlashFailProb, Retries: cfg.FlashRetries,
 		Scope: ro.scope,

@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"clustergate/internal/core"
 	"clustergate/internal/fault"
+	"clustergate/internal/mcu"
 	"clustergate/internal/metrics"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
@@ -55,6 +57,13 @@ type FlashSpec struct {
 	// no payload travels, so corruption and verification do not apply —
 	// only transient failures can delay it.
 	Img []byte
+	// Decode returns the controller Img decodes to. Every attempt whose
+	// payload arrives untouched calls it, after the CRC check when Verify
+	// is set, so build it with DecodeOnce(Img) where the spec is built:
+	// the image then decodes at most once per campaign, and copies of the
+	// spec (a re-flash pass, a checkpoint replay) share that decode.
+	// Required when Img is set.
+	Decode func() (*core.GatingController, error)
 	// Verify selects the CRC-checked install path; see Config.Verify.
 	Verify bool
 	// CorruptProb and CorruptBits are the per-transfer corruption model;
@@ -88,11 +97,25 @@ type FlashOutcome struct {
 	// Crashed reports the installed payload failed to decode (unverified
 	// path only) — the machine is down until rolled back.
 	Crashed bool
-	// Ctrl is the decoded controller when the install produced one.
+	// Ctrl is the decoded controller when the install produced one. Every
+	// untouched install of a spec shares one controller: read-only.
 	Ctrl *core.GatingController
 	// Attempts counts every flash attempt; Retries the transient failures
 	// among them; CRCRejects the attempts rejected at the CRC envelope.
 	Attempts, Retries, CRCRejects int
+}
+
+// DecodeOnce returns a FlashSpec.Decode for img: the first call decodes
+// the image, and every later call returns the same controller, or the same
+// error. An intact payload decodes to the same controller on every
+// machine, so one decode serves the whole fleet. A decode that panics
+// panics again on every call (sync.OnceValues), so a failed decode can
+// never surface as a nil controller reported as installed.
+func DecodeOnce(img []byte) func() (*core.GatingController, error) {
+	return sync.OnceValues(func() (*core.GatingController, error) {
+		flashDecodes.Inc()
+		return core.LoadControllerUnverified(bytes.NewReader(img))
+	})
 }
 
 // Flash pushes the spec's image to one machine, running the full retrying
@@ -100,6 +123,9 @@ type FlashOutcome struct {
 // transient-failure and corruption schedule from (Seed, machine, phase,
 // attempt), so the outcome is deterministic for any caller arrangement.
 func (s *FlashSpec) Flash(machine, phase int) FlashOutcome {
+	if s.Img != nil && s.Decode == nil {
+		panic("fleet: FlashSpec has an image but no Decode; set it to DecodeOnce(Img)")
+	}
 	var out FlashOutcome
 	for a := 0; ; a++ {
 		if s.attempt(machine, phase, a, &out) || a >= s.Retries {
@@ -129,39 +155,48 @@ func (s *FlashSpec) attempt(machine, phase, a int, out *FlashOutcome) bool {
 		return true
 	}
 	// The transfer itself: each attempt draws corruption afresh.
-	payload := s.Img
 	corrupt := s.CorruptProb > 0 &&
 		hash01(s.Seed^saltCorrupt, opKey(machine, phase), a) < s.CorruptProb
+	var g *core.GatingController
+	var err error
 	if corrupt {
-		payload = append([]byte(nil), s.Img...)
+		// A damaged payload is this attempt's own: decode it from scratch.
+		payload := append([]byte(nil), s.Img...)
 		fault.FlipBits(payload,
 			int64(hashU64(s.Seed^saltFlip, opKey(machine, phase), a)), s.CorruptBits)
-	}
-	if s.Verify {
-		g, err := core.LoadController(bytes.NewReader(payload))
-		if err != nil {
-			out.CRCRejects++
-			crcRejections.Inc()
-			if s.Emitter != nil {
-				s.Emitter(int64(machine), "fleet.crc.reject", map[string]any{"attempt": a})
-			} else if obs.EventsActive() {
-				obs.Emit(s.Scope, int64(machine), "fleet.crc.reject", map[string]any{"attempt": a})
-			}
-			// Out of attempts: the machine keeps its old image.
-			return false
+		load := core.LoadControllerUnverified
+		if s.Verify {
+			load = core.LoadController
 		}
-		out.Installed, out.Corrupt, out.Ctrl = true, corrupt, g
-		return true
+		g, err = load(bytes.NewReader(payload))
+		if !errors.Is(err, mcu.ErrImageCorrupt) {
+			flashDecodes.Inc()
+		}
+	} else {
+		// An untouched payload still has its envelope checked, but it
+		// decodes to the spec's one shared controller.
+		if s.Verify {
+			_, err = mcu.OpenImage(s.Img)
+		}
+		if err == nil {
+			g, err = s.Decode()
+		}
 	}
-	// Legacy unverified pipeline: install whatever arrived. A payload too
-	// damaged to decode bricks the machine until rollback; one that decodes
-	// deploys silently wrong.
-	g, err := core.LoadControllerUnverified(bytes.NewReader(payload))
-	if err != nil {
-		out.Installed, out.Corrupt, out.Crashed = true, corrupt, true
-		return true
+	if s.Verify && err != nil {
+		out.CRCRejects++
+		crcRejections.Inc()
+		if s.Emitter != nil {
+			s.Emitter(int64(machine), "fleet.crc.reject", map[string]any{"attempt": a})
+		} else if obs.EventsActive() {
+			obs.Emit(s.Scope, int64(machine), "fleet.crc.reject", map[string]any{"attempt": a})
+		}
+		// Out of attempts: the machine keeps its old image.
+		return false
 	}
-	out.Installed, out.Corrupt, out.Ctrl = true, corrupt, g
+	// The legacy unverified pipeline installs whatever arrived: a payload
+	// too damaged to decode bricks the machine until rollback (g is nil);
+	// one that decodes deploys silently wrong.
+	out.Installed, out.Corrupt, out.Crashed, out.Ctrl = true, corrupt, err != nil, g
 	return true
 }
 

@@ -51,6 +51,42 @@ func (n *MLP) NumParams() int {
 	return p
 }
 
+// CheckShape reports an error unless the network's shapes agree with each
+// other and with an input width: Sizes runs from inputs to one output,
+// every weight and bias layer has the length the widths it connects
+// imply, and the scaler covers every input. A network decoded from
+// untrusted bytes that fails it would index out of range at inference.
+func (n *MLP) CheckShape(inputs int) error {
+	if len(n.Sizes) < 2 {
+		return fmt.Errorf("mlp: %d layer sizes, want at least 2", len(n.Sizes))
+	}
+	if n.Sizes[0] != inputs || n.Sizes[len(n.Sizes)-1] != 1 {
+		return fmt.Errorf("mlp: layer sizes %v do not run from %d inputs to 1 output", n.Sizes, inputs)
+	}
+	layers := len(n.Sizes) - 1
+	if len(n.Weights) != layers || len(n.Biases) != layers {
+		return fmt.Errorf("mlp: %d weight and %d bias layers for %d layer sizes",
+			len(n.Weights), len(n.Biases), len(n.Sizes))
+	}
+	for l := 0; l < layers; l++ {
+		// Each width is checked positive as a layer's output, the input
+		// width by its caller.
+		in, out := n.Sizes[l], n.Sizes[l+1]
+		if out <= 0 {
+			return fmt.Errorf("mlp: layer %d has %d outputs", l, out)
+		}
+		// Divide rather than multiply: decoded widths may overflow int.
+		if w := len(n.Weights[l]); w%out != 0 || w/out != in || len(n.Biases[l]) != out {
+			return fmt.Errorf("mlp: layer %d has %d weights and %d biases, want %d and %d",
+				l, w, len(n.Biases[l]), in*out, out)
+		}
+	}
+	if n.Scaler == nil || len(n.Scaler.Mean) != inputs || len(n.Scaler.Std) != inputs {
+		return fmt.Errorf("mlp: scaler does not cover %d inputs", inputs)
+	}
+	return nil
+}
+
 // Score runs inference: standardise, forward through ReLU layers, sigmoid.
 func (n *MLP) Score(x []float64) float64 {
 	act := n.Scaler.Apply(x, nil)

@@ -15,6 +15,8 @@ package telemetry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"clustergate/internal/uarch"
 )
@@ -145,8 +147,22 @@ type CounterSet struct {
 	specs []counterSpec
 }
 
-// NewStandardCounterSet deterministically builds the 936-counter space.
+// NewStandardCounterSet returns the 936-counter space. The set is built
+// once per process and every call hands out a fresh copy of it, so each
+// caller owns (and may modify) its own Names and specs while the
+// name-formatting cost is paid once: every firmware-image decode builds a
+// counter set.
 func NewStandardCounterSet() *CounterSet {
+	t := standardCounterSet()
+	return &CounterSet{Names: slices.Clone(t.Names), specs: slices.Clone(t.specs)}
+}
+
+// standardCounterSet is the shared template NewStandardCounterSet copies.
+// It is never handed out, so no caller can modify it.
+var standardCounterSet = sync.OnceValue(buildStandardCounterSet)
+
+// buildStandardCounterSet deterministically builds the 936-counter space.
+func buildStandardCounterSet() *CounterSet {
 	rng := rand.New(rand.NewSource(0x74656C65)) // "tele"
 	cs := &CounterSet{}
 	nb := uint16(NumBase)

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"clustergate/internal/uarch"
@@ -177,4 +179,31 @@ func TestTable4AndExpertNamesExist(t *testing.T) {
 			t.Errorf("counter %q not in standard set", n)
 		}
 	}
+}
+
+// TestStandardCounterSetCopies locks the shared-template contract: every
+// NewStandardCounterSet call equals a from-scratch build, and a caller
+// mutating its copy leaves later copies untouched, with several
+// goroutines copying and mutating at once as concurrent image decodes do.
+func TestStandardCounterSetCopies(t *testing.T) {
+	fresh := buildStandardCounterSet()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				cs := NewStandardCounterSet()
+				if !reflect.DeepEqual(cs, fresh) {
+					t.Error("counter-set copy differs from a from-scratch build")
+					return
+				}
+				cs.Names[0] = "clobbered"
+				cs.specs[0] = counterSpec{kind: kindDebug}
+				cs.Names = append(cs.Names[:1], "appended")
+				cs.specs = cs.specs[:1]
+			}
+		}()
+	}
+	wg.Wait()
 }

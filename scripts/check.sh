@@ -27,9 +27,18 @@ fi
 echo "== go test -race (worker pool + observability + robustness packages)"
 # internal/core under -race runs ~10 min on a 1-core container; give it
 # headroom beyond go test's default 10m timeout.
+# internal/telemetry is in the list because its standard counter-set
+# template is shared by every goroutine that decodes a firmware image.
 go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
-    ./internal/ctrlplane/... ./cmd/obsdiff/...
+    ./internal/ctrlplane/... ./internal/telemetry/... ./cmd/obsdiff/...
+
+echo "== fuzz firmware-image loading (FuzzLoadController, 10s)"
+# Both load paths must return a controller or an error for any bytes; the
+# seed corpus lives in internal/core/testdata/fuzz/FuzzLoadController.
+# Minimising each new input may otherwise take up to a minute, which would
+# leave the 10s budget no time to fuzz.
+go test -run '^$' -fuzz '^FuzzLoadController$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.
