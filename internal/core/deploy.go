@@ -6,6 +6,7 @@ import (
 	"clustergate/internal/dataset"
 	"clustergate/internal/fault"
 	"clustergate/internal/obs"
+	"clustergate/internal/parallel"
 	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
@@ -45,8 +46,64 @@ var (
 // decisions (so PGOS/RSV measure the predictor), while Eff records the
 // configuration actually applied after guardrail overrides (so effective
 // SLA violations measure the system).
+//
+// The cycle model replays the trace's deployment tape (deployTape), so
+// only the first deployment of a trace generates and probes it; results
+// are identical to executing the trace live.
 func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
+	return deploy(g, tr, ref, cfg, pm, opts, func(interval int) *uarch.Runner {
+		return deployTape(tr, cfg).Runner(uarch.ModeHighPerf, cfg.Warmup, interval)
+	})
+}
+
+// recordedTape is a trace's deployment tape together with what it was
+// recorded for: the core and the high-performance warmup its snapshot
+// follows.
+type recordedTape struct {
+	core   uarch.Config
+	warmup int
+	tape   *uarch.Tape
+}
+
+// tapeFlight makes concurrent first deployments of a trace share one
+// recording. It remembers nothing once a recording completes: the tape
+// itself is held by the trace.
+var tapeFlight parallel.Group[*uarch.Tape]
+
+// deployTape returns tr's deployment tape for cfg, recording it on first
+// use: the trace's front end for cfg.Core, warm after cfg.Warmup
+// instructions in high-performance mode, as every deployment starts. The
+// tape hangs off the trace (Trace.SetTape) and is freed with it; a
+// deployment under another core or warmup records over it.
+func deployTape(tr *trace.Trace, cfg dataset.Config) *uarch.Tape {
+	held := func() *uarch.Tape {
+		if r, ok := tr.Tape().(*recordedTape); ok && r.core == cfg.Core && r.warmup == cfg.Warmup {
+			return r.tape
+		}
+		return nil
+	}
+	if t := held(); t != nil {
+		return t
+	}
+	t, _, _ := tapeFlight.Do(fmt.Sprintf("%p/%d/%v", tr, cfg.Warmup, cfg.Core), func() (*uarch.Tape, error) {
+		// A deployment that missed the lookup above while another one
+		// finished recording finds the tape here.
+		if t := held(); t != nil {
+			return t, nil
+		}
+		t := uarch.RecordTape(cfg.Core, trace.NewStream(tr), cfg.Warmup)
+		tr.SetTape(&recordedTape{core: cfg.Core, warmup: cfg.Warmup, tape: t})
+		return t, nil
+	})
+	return t
+}
+
+// deploy is DeployWithOptions over the interval runner newRun returns: a
+// fresh core warmed up as during dataset generation, stepping the trace
+// interval by interval.
+func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
+	cfg dataset.Config, pm *power.Model, opts DeployOptions, newRun func(interval int) *uarch.Runner) (*GuardedDeploymentResult, error) {
 	if tr.Name != ref.TraceName {
 		return nil, fmt.Errorf("core: trace %q does not match telemetry %q", tr.Name, ref.TraceName)
 	}
@@ -76,23 +133,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 	tripsSeen := 0
 	var injectedSeen int64
 
-	core := uarch.NewCoreInMode(cfg.Core, uarch.ModeHighPerf)
-	s := trace.NewStream(tr)
-	buf := make([]trace.Instruction, g.Interval)
-
-	// Warmup without recording, as during dataset generation.
-	for done := 0; done < cfg.Warmup; {
-		n := cfg.Warmup - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		kk := s.Read(buf[:n])
-		if kk == 0 {
-			break
-		}
-		core.Execute(buf[:kk])
-		done += kk
-	}
+	run := newRun(g.Interval)
 
 	res := &GuardedDeploymentResult{}
 	rng := newDeployRNG(tr.Seed)
@@ -106,7 +147,6 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 	}
 
 	var window [][]float64
-	prev := core.Events()
 	var prevTrue, prevObserved []float64
 	lowIntervals, totalIntervals := 0, 0
 	// pending[w] is the mode decided for window w (two windows ahead).
@@ -121,13 +161,13 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			if state != nil && state.backoff > 0 {
 				m = uarch.ModeHighPerf
 			}
-			if m != core.Mode() {
+			if m != run.Mode() {
 				res.Switches++
 			}
-			core.SetMode(m)
+			run.SetMode(m)
 			delete(pending, w)
 		}
-		if core.Mode() == uarch.ModeLowPower {
+		if run.Mode() == uarch.ModeLowPower {
 			applied[w] = 1
 		} else {
 			applied[w] = 0
@@ -144,16 +184,12 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			derate := 1.0
 			if ti != nil {
 				derate = ti.MemDerate(gidx)
-				core.SetMemDerate(derate)
+				run.SetMemDerate(derate)
 			}
-			kk := s.Read(buf)
-			if kk == 0 {
+			delta, n := run.Next()
+			if n == 0 {
 				break
 			}
-			core.Execute(buf[:kk])
-			cur := core.Events()
-			delta := cur.Sub(prev)
-			prev = cur
 			trueBase := telemetry.ExtractBase(delta)
 			observed := trueBase
 			if ti != nil {
@@ -169,8 +205,8 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			window = append(window, observed)
 			// Power accounting always follows true execution: faults
 			// corrupt the telemetry fabric, not the pipeline.
-			res.Adaptive.Add(pm, telemetry.BaseToEvents(trueBase), core.Mode())
-			gated := core.Mode() == uarch.ModeLowPower
+			res.Adaptive.Add(pm, telemetry.BaseToEvents(trueBase), run.Mode())
+			gated := run.Mode() == uarch.ModeLowPower
 			if gated {
 				lowIntervals++
 			}
@@ -181,7 +217,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 			if flight != nil {
 				sample := obs.FlightSample{
 					T:     int64(gidx),
-					Power: pm.Energy(telemetry.BaseToEvents(trueBase), core.Mode()),
+					Power: pm.Energy(telemetry.BaseToEvents(trueBase), run.Mode()),
 				}
 				if delta.Cycles > 0 {
 					sample.IPC = float64(delta.Instrs) / float64(delta.Cycles)
@@ -231,7 +267,7 @@ func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceT
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
 			agg, per := g.windowVectors(window, rng)
-			pred := g.decide(core.Mode(), agg, per)
+			pred := g.decide(run.Mode(), agg, per)
 			if ti != nil {
 				if windowDropped {
 					// No fresh snapshot arrived: the controller cannot

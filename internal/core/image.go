@@ -144,6 +144,11 @@ func decodeImage(payload []byte) (*GatingController, error) {
 	if img.CounterSetTag != standardCounterSetTag {
 		return nil, fmt.Errorf("core: unknown counter set %q", img.CounterSetTag)
 	}
+	for _, c := range img.Columns {
+		if c < 0 || c >= telemetry.TotalCounters {
+			return nil, fmt.Errorf("core: column %d outside the %d-counter space", c, telemetry.TotalCounters)
+		}
+	}
 	g := &GatingController{
 		Name:             img.Name,
 		SLA:              img.SLA,
@@ -212,6 +217,12 @@ func encodeModel(p Predictor) (ModelBlob, error) {
 // firmware cost.
 func decodeModel(b ModelBlob, name string, inputs int) (Predictor, error) {
 	dec := gob.NewDecoder(bytes.NewReader(b.Gob))
+	// Shape-checked models read the selected columns, or the whole
+	// counter space when none are selected.
+	width := inputs
+	if width == 0 {
+		width = telemetry.TotalCounters
+	}
 	var model interface{ Score([]float64) float64 }
 	switch b.Kind {
 	case "random-forest":
@@ -219,23 +230,23 @@ func decodeModel(b ModelBlob, name string, inputs int) (Predictor, error) {
 		if err := dec.Decode(m); err != nil {
 			return nil, err
 		}
+		if err := m.CheckShape(width); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
+		}
 		model = m
 	case "decision-tree":
 		m := &forest.Tree{}
 		if err := dec.Decode(m); err != nil {
 			return nil, err
 		}
+		if err := m.CheckShape(width); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
+		}
 		model = m
 	case "mlp":
 		m := &mlp.MLP{}
 		if err := dec.Decode(m); err != nil {
 			return nil, err
-		}
-		// The network reads the selected columns, or the whole counter
-		// space when none are selected.
-		width := inputs
-		if width == 0 {
-			width = telemetry.TotalCounters
 		}
 		if err := m.CheckShape(width); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", name, err)

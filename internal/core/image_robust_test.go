@@ -149,10 +149,86 @@ func TestLoadRejectsMalformedMLP(t *testing.T) {
 	}
 }
 
+// treeImage seals smallController with its high-performance forest's
+// single tree replaced by nodes: a CRC-valid image carrying whatever tree
+// shape the bytes say.
+func treeImage(t testing.TB, nodes []forest.Node) []byte {
+	g := smallController()
+	g.HighPerf = PointPredictor{M: &forest.Forest{Trees: []*forest.Tree{{MaxDepth: 1, Nodes: nodes}}}}
+	return seal(t, g)
+}
+
+// loopingTreeImage carries a tree whose root's right child is the root
+// itself: before decodeModel checked tree shapes it loaded, and scoring
+// any input above the threshold looped forever.
+func loopingTreeImage(t testing.TB) []byte {
+	return treeImage(t, []forest.Node{{Feature: 1, Threshold: 0.5, Left: 1, Right: 0}, {Feature: -1, Prob: 0.1}})
+}
+
+// wideFeatureImage carries a tree splitting on a feature beyond the three
+// selected counters: it loaded, and scoring panicked indexing the input.
+func wideFeatureImage(t testing.TB) []byte {
+	return treeImage(t, []forest.Node{{Feature: 3, Left: 1, Right: 2}, {Feature: -1}, {Feature: -1, Prob: 1}})
+}
+
+// TestLoadRejectsMalformedTrees sends images whose trees, forest or
+// counter columns could not be scored through both load paths: each must
+// fail with an error.
+func TestLoadRejectsMalformedTrees(t *testing.T) {
+	leaves := []forest.Node{{Feature: -1}, {Feature: -1, Prob: 1}}
+	split := func(f int, l, r int32) []forest.Node {
+		return append([]forest.Node{{Feature: f, Left: l, Right: r}}, leaves...)
+	}
+	emptyForest := smallController()
+	emptyForest.HighPerf = PointPredictor{M: &forest.Forest{}}
+	bareTree := smallController()
+	bareTree.LowPower = PointPredictor{M: &forest.Tree{}}
+	column := func(c int) []byte {
+		g := smallController()
+		g.Columns = []int{0, c, 16}
+		return seal(t, g)
+	}
+	cases := map[string][]byte{
+		"looping tree":          loopingTreeImage(t),
+		"feature past inputs":   wideFeatureImage(t),
+		"backward child":        treeImage(t, append(split(0, 1, 2), forest.Node{Feature: 2, Left: 0, Right: 1})),
+		"child past the end":    treeImage(t, split(0, 1, 3)),
+		"negative child":        treeImage(t, split(0, -1, 2)),
+		"no nodes":              treeImage(t, nil),
+		"no trees":              seal(t, emptyForest),
+		"empty decision tree":   seal(t, bareTree),
+		"negative column":       column(-1),
+		"column past the space": column(telemetry.TotalCounters),
+	}
+	for name, img := range cases {
+		for _, load := range []struct {
+			path string
+			fn   func(io.Reader) (*GatingController, error)
+		}{{"verified", LoadController}, {"unverified", LoadControllerUnverified}} {
+			if _, err := load.fn(bytes.NewReader(img)); err == nil {
+				t.Errorf("%s: %s load accepted the image", name, load.path)
+			}
+		}
+	}
+	// Leaves carry Feature -1 and may sit anywhere after their parent.
+	g, err := LoadController(bytes.NewReader(treeImage(t, []forest.Node{
+		{Feature: 2, Threshold: 0.5, Left: 2, Right: 1}, {Feature: -1, Prob: 0.7}, {Feature: -1, Prob: 0.2},
+	})))
+	if err != nil {
+		t.Fatalf("well-formed tree rejected: %v", err)
+	}
+	for _, c := range []struct{ x, want float64 }{{0, 0}, {1, 1}} {
+		if p := g.HighPerf.ScoreWindow([]float64{0, 0, c.x}, nil); p != c.want {
+			t.Errorf("reordered tree scored %v on feature value %v, want %v", p, c.x, c.want)
+		}
+	}
+}
+
 // FuzzLoadController feeds arbitrary bytes to both load paths: each must
 // return a controller or an error, never panic. The committed seeds
 // (testdata/fuzz/FuzzLoadController) are a sealed image of
-// smallController, a truncated copy and the malformed-MLP image.
+// smallController, a truncated copy, the malformed-MLP image, and the
+// looping-tree and wide-feature images.
 func FuzzLoadController(f *testing.F) {
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if g, err := LoadController(bytes.NewReader(img)); err == nil && g == nil {

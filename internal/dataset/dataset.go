@@ -76,7 +76,10 @@ var (
 	intervalsRecorded = obs.NewCounter("dataset.intervals_recorded")
 )
 
-// SimulateTrace records one trace in both cluster configurations.
+// SimulateTrace records one trace in both cluster configurations. The
+// trace is generated and probed once, into a private tape that both
+// fixed-mode recordings replay and that is dropped on return, so a corpus
+// build never holds more than its in-flight traces' tapes.
 func SimulateTrace(tr *trace.Trace, cfg Config) *TraceTelemetry {
 	tt := &TraceTelemetry{
 		App:       tr.App.Name,
@@ -85,52 +88,29 @@ func SimulateTrace(tr *trace.Trace, cfg Config) *TraceTelemetry {
 		TraceName: tr.Name,
 		Seed:      tr.Seed,
 	}
-	tt.HighPerf = recordMode(tr, cfg, uarch.ModeHighPerf)
-	tt.LowPower = recordMode(tr, cfg, uarch.ModeLowPower)
+	tape := uarch.RecordTape(cfg.Core, trace.NewStream(tr), 0)
+	tt.HighPerf = recordMode(tape, cfg, uarch.ModeHighPerf)
+	tt.LowPower = recordMode(tape, cfg, uarch.ModeLowPower)
 	tracesSimulated.Inc()
 	intervalsRecorded.Add(int64(len(tt.HighPerf) + len(tt.LowPower)))
 	return tt
 }
 
-func recordMode(tr *trace.Trace, cfg Config, mode uarch.Mode) []IntervalRecord {
-	core := uarch.NewCoreInMode(cfg.Core, mode)
-	s := trace.NewStream(tr)
-	buf := make([]trace.Instruction, cfg.Interval)
-
-	// Warmup: execute without recording.
-	for done := 0; done < cfg.Warmup; {
-		n := cfg.Warmup - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		k := s.Read(buf[:n])
-		if k == 0 {
-			break
-		}
-		core.Execute(buf[:k])
-		done += k
-	}
-
+// recordMode replays the tape pinned to one mode and records every full
+// interval after the warmup; a partial tail interval is discarded.
+func recordMode(tape *uarch.Tape, cfg Config, mode uarch.Mode) []IntervalRecord {
+	run := tape.Runner(mode, cfg.Warmup, cfg.Interval)
 	var out []IntervalRecord
-	prev := core.Events()
 	for {
-		k := s.Read(buf)
-		if k == 0 {
-			break
+		delta, n := run.Next()
+		if n < cfg.Interval {
+			return out
 		}
-		core.Execute(buf[:k])
-		if k < cfg.Interval {
-			break // partial tail interval is discarded
-		}
-		cur := core.Events()
-		delta := cur.Sub(prev)
-		prev = cur
 		out = append(out, IntervalRecord{
 			Base: telemetry.ExtractBase(delta),
 			IPC:  delta.IPC(),
 		})
 	}
-	return out
 }
 
 // SimulateCorpus records every trace of a corpus, fanning traces out over

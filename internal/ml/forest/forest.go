@@ -47,6 +47,32 @@ func (t *Tree) Score(x []float64) float64 {
 	}
 }
 
+// CheckShape reports an error unless the tree can score every input of
+// the given width: it has a root, every split reads a feature below the
+// width, and both children of every split lie strictly after it in the
+// node array, so every walk from the root reaches a leaf within len(Nodes)
+// steps. A tree decoded from untrusted bytes that fails it could loop
+// forever or index out of range at inference.
+func (t *Tree) CheckShape(inputs int) error {
+	if len(t.Nodes) == 0 {
+		return fmt.Errorf("forest: tree has no nodes")
+	}
+	for i, n := range t.Nodes {
+		if n.Feature < 0 {
+			continue // leaf
+		}
+		if n.Feature >= inputs {
+			return fmt.Errorf("forest: node %d splits on feature %d of %d", i, n.Feature, inputs)
+		}
+		for _, c := range [2]int32{n.Left, n.Right} {
+			if int(c) <= i || int(c) >= len(t.Nodes) {
+				return fmt.Errorf("forest: node %d has child %d outside (%d, %d)", i, c, i, len(t.Nodes))
+			}
+		}
+	}
+	return nil
+}
+
 // Depth returns the maximum depth of the tree (a single leaf has depth 0).
 func (t *Tree) Depth() int {
 	var walk func(i int32) int
@@ -277,6 +303,23 @@ func Train(cfg Config, tune *ml.Dataset) (*Forest, error) {
 		f.Trees = append(f.Trees, tree)
 	}
 	return f, nil
+}
+
+// CheckShape reports an error unless the forest has at least one tree and
+// every tree passes Tree.CheckShape for the input width.
+func (f *Forest) CheckShape(inputs int) error {
+	if len(f.Trees) == 0 {
+		return fmt.Errorf("forest: no trees")
+	}
+	for i, t := range f.Trees {
+		if t == nil {
+			return fmt.Errorf("forest: tree %d is missing", i)
+		}
+		if err := t.CheckShape(inputs); err != nil {
+			return fmt.Errorf("tree %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Score returns the fraction of trees voting for the positive class,

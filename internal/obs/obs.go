@@ -73,23 +73,26 @@ type Gauge struct {
 }
 
 // Inc raises the level by one and updates the peak.
-func (g *Gauge) Inc() {
-	if g == nil {
-		return
-	}
-	v := g.cur.Add(1)
-	for {
-		p := g.peak.Load()
-		if v <= p || g.peak.CompareAndSwap(p, v) {
-			return
-		}
-	}
-}
+func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec lowers the level by one.
 func (g *Gauge) Dec() {
 	if g != nil {
 		g.cur.Add(-1)
+	}
+}
+
+// Add moves the level by n (negative lowers it) and updates the peak.
+func (g *Gauge) Add(n int64) {
+	if g == nil {
+		return
+	}
+	v := g.cur.Add(n)
+	for {
+		p := g.peak.Load()
+		if v <= p || g.peak.CompareAndSwap(p, v) {
+			return
+		}
 	}
 }
 

@@ -127,6 +127,7 @@ func (r *Run) Finish() *Manifest {
 		Start:       r.start,
 		End:         end,
 		WallSeconds: end.Sub(r.start).Seconds(),
+		PeakRSSMB:   peakRSSMB(),
 	}
 	for _, s := range r.roots {
 		m.Spans = append(m.Spans, s.record(r.start, end))
@@ -174,18 +175,23 @@ func (s *Span) record(runStart, runEnd time.Time) *SpanRecord {
 // workers, host parallelism, toolchain) and what it did (per-phase spans,
 // counter deltas, wall clock). See README "Observability" for the schema.
 type Manifest struct {
-	Tool        string           `json:"tool"`
-	Args        []string         `json:"args,omitempty"`
-	Seed        int64            `json:"seed"`
-	Scale       string           `json:"scale,omitempty"`
-	Workers     int              `json:"workers"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	GoVersion   string           `json:"go_version"`
-	Start       time.Time        `json:"start"`
-	End         time.Time        `json:"end"`
-	WallSeconds float64          `json:"wall_seconds"`
-	Spans       []*SpanRecord    `json:"spans,omitempty"`
-	Counters    map[string]int64 `json:"counters,omitempty"`
+	Tool        string    `json:"tool"`
+	Args        []string  `json:"args,omitempty"`
+	Seed        int64     `json:"seed"`
+	Scale       string    `json:"scale,omitempty"`
+	Workers     int       `json:"workers"`
+	GOMAXPROCS  int       `json:"gomaxprocs"`
+	GoVersion   string    `json:"go_version"`
+	Start       time.Time `json:"start"`
+	End         time.Time `json:"end"`
+	WallSeconds float64   `json:"wall_seconds"`
+	// PeakRSSMB is the process's peak resident set size, in MiB, when the
+	// manifest was rendered (getrusage ru_maxrss): whole-process memory,
+	// including everything before the run started. Omitted where getrusage
+	// is unavailable or fails.
+	PeakRSSMB float64          `json:"peak_rss_mb,omitempty"`
+	Spans     []*SpanRecord    `json:"spans,omitempty"`
+	Counters  map[string]int64 `json:"counters,omitempty"`
 	// Histograms are the run's latency-histogram deltas (samples observed
 	// during this run only), keyed by instrument name.
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`

@@ -186,27 +186,12 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 	if nInt == 0 {
 		return nil, nil
 	}
-	cpu := uarch.NewCoreInMode(cfg.Core, uarch.ModeHighPerf)
-	s := trace.NewStream(tr)
-	buf := make([]trace.Instruction, cfg.Interval)
-
-	// Warmup without recording, as during dataset generation.
-	for done := 0; done < cfg.Warmup; {
-		n := cfg.Warmup - done
-		if n > len(buf) {
-			n = len(buf)
-		}
-		k := s.Read(buf[:n])
-		if k == 0 {
-			break
-		}
-		cpu.Execute(buf[:k])
-		done += k
-	}
+	// The schedule runs once per trace, so the trace executes live: a tape
+	// recorded for a single replay would only add a pass.
+	run := uarch.NewRunner(cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), cfg.Warmup, cfg.Interval)
 
 	mode := uarch.ModeHighPerf
 	sinceSwitch := core.SteadySinceSwitch
-	prev := cpu.Events()
 	out := make([]sample, 0, nInt)
 	for gidx := 0; gidx < nInt; gidx++ {
 		if gidx > 0 && gidx%opt.SwitchPeriod == 0 {
@@ -215,20 +200,16 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 			} else {
 				mode = uarch.ModeHighPerf
 			}
-			cpu.SetMode(mode)
+			run.SetMode(mode)
 			sinceSwitch = 0
 		}
 		derate := forcedDerate(opt.Seed, tr.Seed, gidx)
-		cpu.SetMemDerate(derate)
+		run.SetMemDerate(derate)
 
-		k := s.Read(buf)
-		if k == 0 || k < cfg.Interval {
+		delta, n := run.Next()
+		if n < cfg.Interval {
 			break // recordings only hold full intervals
 		}
-		cpu.Execute(buf[:k])
-		cur := cpu.Events()
-		delta := cur.Sub(prev)
-		prev = cur
 		trueBase := telemetry.ExtractBase(delta)
 
 		recs, other := ref.HighPerf, ref.LowPower

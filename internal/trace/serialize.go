@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary trace interchange format. Traces in this system are normally
@@ -20,6 +21,10 @@ import (
 // traceMagic identifies the format; the version byte guards evolution.
 const traceMagic = "CGTR"
 const traceVersion = 1
+
+// maxTraceName bounds the name length a header may declare, so a corrupt
+// or hostile header cannot demand an arbitrarily large allocation.
+const maxTraceName = 1 << 16
 
 // WriteTrace streams every instruction of tr to w in the binary format.
 func WriteTrace(w io.Writer, tr *Trace) error {
@@ -98,9 +103,15 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	if err != nil {
 		return nil, err
 	}
+	if total > math.MaxInt {
+		return nil, fmt.Errorf("trace: instruction count %d overflows int", total)
+	}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
+	}
+	if nameLen > maxTraceName {
+		return nil, fmt.Errorf("trace: name length %d exceeds %d", nameLen, maxTraceName)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -138,4 +139,52 @@ func TestSerializeTruncatedBody(t *testing.T) {
 		}
 	}
 	t.Fatalf("decoded %d of %d instructions from a truncated trace without error", total, rd.Total)
+}
+
+// hugeNameHeader is a 15-byte header that declares an empty trace with a
+// name of 2^63-1 bytes; NewTraceReader used to panic allocating it.
+const hugeNameHeader = "CGTR\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+// TestSerializeRejectsOversizedHeader checks that header lengths the
+// reader cannot honour — a name longer than maxTraceName, an instruction
+// count past the int range — are errors, not panics or huge allocations.
+func TestSerializeRejectsOversizedHeader(t *testing.T) {
+	long := binary.AppendUvarint([]byte("CGTR\x01\x00"), maxTraceName+1)
+	wide := binary.AppendUvarint([]byte("CGTR\x01"), 1<<63)
+	for name, hdr := range map[string][]byte{
+		"huge name": []byte(hugeNameHeader), "long name": long, "count past int": append(wide, 0),
+	} {
+		if _, err := NewTraceReader(bytes.NewReader(hdr)); err == nil {
+			t.Errorf("%s: header accepted", name)
+		}
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the decoder: the header must
+// parse or fail with an error, and decoding must stop at an error or the
+// declared count without ever producing more instructions than that. The
+// committed seeds (testdata/fuzz/FuzzTraceReader) are WriteTrace output
+// for two short generated traces and hugeNameHeader.
+func FuzzTraceReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rd, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if rd.Total < 0 {
+			t.Fatalf("negative instruction count %d", rd.Total)
+		}
+		buf := make([]Instruction, 64)
+		read := 0
+		for {
+			n, err := rd.Read(buf)
+			read += n
+			if read > rd.Total || rd.Remaining() != rd.Total-read {
+				t.Fatalf("decoded %d of %d instructions, %d remaining", read, rd.Total, rd.Remaining())
+			}
+			if err != nil || n == 0 {
+				return
+			}
+		}
+	})
 }

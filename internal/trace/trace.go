@@ -12,7 +12,10 @@
 // systematic errors there.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // OpClass enumerates instruction classes the timing model distinguishes.
 type OpClass uint8
@@ -201,4 +204,30 @@ type Trace struct {
 	Seed       int64
 	StartPhase int
 	NumInstrs  int
+
+	// tape holds the cycle model's recorded front end of the trace (see
+	// SetTape).
+	tape struct {
+		mu sync.Mutex
+		v  any
+	}
+}
+
+// Tape returns the value SetTape last stored, or nil.
+func (t *Trace) Tape() any {
+	t.tape.mu.Lock()
+	defer t.tape.mu.Unlock()
+	return t.tape.v
+}
+
+// SetTape attaches the cycle model's recorded front end of the trace,
+// replacing any earlier one, so that every deployment of the trace shares
+// one recording and the recording is freed with the trace rather than
+// held by a process-wide cache. The value is opaque here (the recording
+// type lives in the cycle model, which depends on this package). Safe for
+// concurrent use.
+func (t *Trace) SetTape(v any) {
+	t.tape.mu.Lock()
+	defer t.tape.mu.Unlock()
+	t.tape.v = v
 }

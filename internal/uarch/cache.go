@@ -259,6 +259,7 @@ const (
 // probe pass histogram the bytes and credit all event counters once per
 // chunk instead of once per access.
 const (
+	clsClassMask  uint8 = 0x07 // memNone … memDemand in bits 0-2
 	clsTLBMiss    uint8 = 1 << 3
 	clsEvictShift       = 4 // EvictKind in bits 4-5
 )
@@ -284,7 +285,7 @@ func accumClassEvents(write bool, r uint8, n uint64, ev *Events) {
 	case EvictDirty:
 		ev.L2DirtyEvictions += n
 	}
-	switch r & infoClassMask {
+	switch r & clsClassMask {
 	case memL1, memL1TLB:
 		ev.L1DHits += n
 	case memL2:
@@ -351,17 +352,26 @@ func (h *Hierarchy) SetMemDerate(f float64) {
 
 // NewHierarchy builds the data-side hierarchy for cfg.
 func NewHierarchy(cfg *Config) *Hierarchy {
-	h := &Hierarchy{
-		L1D:  NewCache(cfg.L1D),
-		L2:   NewCache(cfg.L2),
-		DTLB: NewCache(cfg.DTLB),
-		cfg:  cfg,
-		gap:  uint64(cfg.MemGap),
-	}
+	h := newDRAMChannel(cfg)
+	h.attachCaches()
+	return h
+}
+
+// newDRAMChannel returns a hierarchy with the DRAM channel and MSHR clocks
+// only — all a tape-replaying core's timing pass reads — and no caches.
+func newDRAMChannel(cfg *Config) *Hierarchy {
+	h := &Hierarchy{cfg: cfg, gap: uint64(cfg.MemGap)}
 	if cfg.MSHRs > 0 {
 		h.mshrGap = uint64((cfg.MemLatency + cfg.MSHRs - 1) / cfg.MSHRs)
 	}
 	return h
+}
+
+// attachCaches allocates the cache levels and TLB classify walks.
+func (h *Hierarchy) attachCaches() {
+	h.L1D = NewCache(h.cfg.L1D)
+	h.L2 = NewCache(h.cfg.L2)
+	h.DTLB = NewCache(h.cfg.DTLB)
 }
 
 // classify walks the DTLB, L1D, L2, and stream-prefetcher state for one
@@ -442,7 +452,7 @@ func (h *Hierarchy) timeData(class uint8, now uint64, cl uint8, independent bool
 func (h *Hierarchy) AccessData(addr uint64, write bool, now uint64, cl uint8, independent bool, ev *Events) int {
 	r := h.classify(addr, write)
 	accumClassEvents(write, r, 1, ev)
-	return h.timeData(r&infoClassMask, now, cl, independent)
+	return h.timeData(r&clsClassMask, now, cl, independent)
 }
 
 // streamHit checks (and trains) the next-line prefetcher: an access to

@@ -94,6 +94,8 @@ type coreConsts struct {
 	// memL1TLB, memL2) to their fixed latencies so the load path only
 	// branches on the single "reaches DRAM" condition.
 	memClassLat [4]uint64
+	opLUT       [16]uint32 // op field → timing flags and base latency
+	bubbles     [8]uint64  // I-side bubble code → front-end stall cycles
 }
 
 // bumpTab maps (cluster, port kind) to the packed-slot increment word for
@@ -119,40 +121,26 @@ type Core struct {
 	cfg  Config
 	mode Mode
 
-	hier     *Hierarchy
-	icache   *Cache
-	uopCache *Cache
-	itlb     *Cache
-	bp       *Predictor
+	// Front-end (probe-side) state: caches, predictor, I-side cursor. A
+	// core that replays a Tape has none of it — nil caches, and a hier
+	// holding only the DRAM clocks the timing pass reads.
+	hier         *Hierarchy
+	icache       *Cache
+	uopCache     *Cache
+	itlb         *Cache
+	bp           *Predictor
+	lastBlock    uint64 // last fetch block probed on the I-side
+	legacyDecode bool   // current block missed the µop cache
+	probed       uint64 // instructions probed so far (the probe pass's idx)
 
 	ev Events
 
-	// Timing state.
-	fc          uint64 // current fetch cycle
-	fetchedInFC int    // instructions already fetched in cycle fc
-	redirect    uint64 // earliest fetch cycle after a pending mispredict
-	retireMax   uint64 // highest completion cycle seen (the clock)
-
-	// The rings are fixed-size arrays rather than slices so every masked
-	// index is provably in bounds: the compiler drops all bounds checks
-	// from the timing loop.
-	idx          uint64               // global dynamic instruction index
-	comp         [depWindow]uint64    // completion cycle ring, indexed by idx
-	cluster      [depWindow]uint8     // cluster assignment ring, indexed by idx
-	slots        [slotWindow]uint64   // per-cycle packed port-usage ring
-	steer        uint8                // round-robin steering toggle
-	divFree      [2]uint64            // next cycle each cluster's divider is free
-	sqDrain      [2][sqRingLen]uint64 // per-cluster store-queue drain-cycle rings
-	sqCount      [2]uint64            // per-cluster store counters
-	lqComp       [2][lqRingLen]uint64 // per-cluster load-queue completion rings
-	lqCount      [2]uint64            // per-cluster load counters
-	lastBlock    uint64               // last fetch block probed on the I-side
-	legacyDecode bool                 // current block missed the µop cache
+	timingState
+	slots [slotWindow]uint64 // per-cycle packed port-usage ring
 
 	// Hoisted constants and per-batch scratch.
 	mp      modeParams
 	cc      coreConsts
-	opLUT   [256]uint32
 	scratch execScratch
 
 	// probeDone signals completion of this core's in-flight probe-pass job
@@ -161,26 +149,54 @@ type Core struct {
 	probeDone chan struct{}
 }
 
+// timingState is the machine state the timing pass advances, apart from
+// the port-usage ring and the DRAM clocks: the part of a core a Tape's
+// warm snapshot copies wholesale.
+//
+// The rings are fixed-size arrays rather than slices so every masked
+// index is provably in bounds: the compiler drops all bounds checks from
+// the timing loop.
+type timingState struct {
+	fc          uint64 // current fetch cycle
+	fetchedInFC int    // instructions already fetched in cycle fc
+	redirect    uint64 // earliest fetch cycle after a pending mispredict
+	retireMax   uint64 // highest completion cycle seen (the clock)
+
+	idx     uint64               // global dynamic instruction index
+	comp    [depWindow]uint64    // completion cycle ring, indexed by idx
+	cluster [depWindow]uint8     // cluster assignment ring, indexed by idx
+	steer   uint8                // round-robin steering toggle
+	divFree [2]uint64            // next cycle each cluster's divider is free
+	sqDrain [2][sqRingLen]uint64 // per-cluster store-queue drain-cycle rings
+	sqCount [2]uint64            // per-cluster store counters
+	lqComp  [2][lqRingLen]uint64 // per-cluster load-queue completion rings
+	lqCount [2]uint64            // per-cluster load counters
+}
+
 // NewCore returns a core in high-performance mode.
 func NewCore(cfg Config) *Core { return NewCoreInMode(cfg, ModeHighPerf) }
 
 // NewCoreInMode returns a core pinned to an initial mode.
 func NewCoreInMode(cfg Config, m Mode) *Core {
-	c := &Core{
-		cfg:       cfg,
-		mode:      m,
-		icache:    NewCache(cfg.L1I),
-		uopCache:  NewCache(cfg.UopCache),
-		itlb:      NewCache(cfg.ITLB),
-		bp:        NewPredictor(),
-		probeDone: make(chan struct{}, 1),
-	}
-	c.hier = NewHierarchy(&c.cfg)
+	c := newTimingCore(cfg, m)
+	c.hier.attachCaches()
+	c.icache = NewCache(cfg.L1I)
+	c.uopCache = NewCache(cfg.UopCache)
+	c.itlb = NewCache(cfg.ITLB)
+	c.bp = NewPredictor()
 	c.lastBlock = ^uint64(0)
+	c.probeDone = make(chan struct{}, 1)
+	return c
+}
+
+// newTimingCore returns a core with timing state only: no caches, no
+// predictor. It can replay a Tape but not Execute instructions.
+func newTimingCore(cfg Config, m Mode) *Core {
+	c := &Core{cfg: cfg, mode: m}
+	c.hier = newDRAMChannel(&c.cfg)
 	for i := range c.slots {
 		c.slots[i] = slotVirgin
 	}
-	c.opLUT = buildOpLUT(&c.cfg)
 	c.cc = coreConsts{
 		decodeDepth: uint64(cfg.DecodeDepth),
 		icDelay:     uint64(cfg.InterClusterDelay),
@@ -197,6 +213,8 @@ func NewCoreInMode(cfg Config, m Mode) *Core {
 		l2Lat:       uint64(cfg.L2Latency),
 		memLat:      uint64(cfg.MemLatency),
 		mshrOn:      cfg.MSHRs > 0,
+		opLUT:       buildOpLUT(&cfg),
+		bubbles:     buildBubbleLUT(&cfg),
 	}
 	c.cc.memClassLat = [4]uint64{
 		memL1:    uint64(cfg.L1DLatency),
@@ -276,23 +294,23 @@ func SwitchCost(cfg Config, m Mode) (cycles, regTransferUops int) {
 	return 2, 0
 }
 
-// execChunk is the number of instructions processed per pass sweep. The
-// scratch slices for one chunk (~14 B/instruction) plus the chunk's slice
-// of the caller's batch stay resident in the L1/L2 caches across all three
-// passes, so a large Execute batch never streams its scratch state through
-// memory more than once. Chunking is pure batching — every pass still
-// walks every instruction in program order — so counters are unaffected by
-// the chunk size.
+// execChunk is the number of instructions processed per pass sweep. One
+// chunk's words (8 B/instruction) plus its slice of the caller's batch
+// stay resident in the L1/L2 caches across all three passes, so a large
+// Execute batch never streams its scratch state through memory more than
+// once. Chunking is pure batching — every pass still walks every
+// instruction in program order — so counters are unaffected by the chunk
+// size.
 const execChunk = 2048
 
 // Execute runs a batch of instructions through the timing model as
-// struct-of-arrays passes over cache-sized chunks: decode and probe the
-// chunk into contiguous parallel slices in one program-order walk, resolve
-// its branches against the predictor, then price everything in one tight
-// arithmetic pass over the slices. Cache and predictor state depend only
-// on the instruction stream — never on timing — so the split is exact:
-// counters are byte-identical to per-instruction interleaved execution at
-// any batch size.
+// struct-of-arrays passes over cache-sized chunks: probe the chunk into
+// one front-end word per instruction in a program-order walk over the
+// caches and predictor, crediting the front end's events on the way, then
+// price everything in one tight arithmetic pass over the words.
+// Cache and predictor state depend only on the instruction stream — never
+// on timing — so the split is exact: counters are byte-identical to
+// per-instruction interleaved execution at any batch size.
 //
 // The split also makes the passes independent across adjacent chunks: the
 // probe pass for chunk k+1 touches only cache, predictor, and I-side state
@@ -315,16 +333,22 @@ func (c *Core) Execute(batch []trace.Instruction) {
 	if total > execChunk && probePoolReady() {
 		c.executePipelined(batch)
 	} else {
+		words := c.scratch.words[0]
 		for len(batch) > 0 {
 			n := min(len(batch), execChunk)
-			chunk := batch[:n]
-			c.probePass(chunk, &c.scratch.buf[0])
-			c.timingPass(chunk, &c.scratch.buf[0])
+			c.probePass(batch[:n], words[:n])
+			c.timingPass(words[:n])
 			batch = batch[n:]
 		}
 	}
+	c.account(t0, before, total)
+}
+
+// account records one timed batch in the process-wide simulation
+// counters and the per-batch latency histogram.
+func (c *Core) account(t0 time.Time, before uint64, n int) {
 	executeLatency.Observe(time.Since(t0))
-	instrsSimulated.Add(int64(total))
+	instrsSimulated.Add(int64(n))
 	cyclesSimulated.Add(int64(c.retireMax - before))
 }
 
@@ -334,16 +358,15 @@ func (c *Core) Execute(batch []trace.Instruction) {
 // signal orders each buffer's writes before the timing pass reads them.
 func (c *Core) executePipelined(batch []trace.Instruction) {
 	k := 0
-	probeJobs <- probeJob{c: c, batch: batch[:execChunk], buf: &c.scratch.buf[0]}
+	probeJobs <- probeJob{c: c, batch: batch[:execChunk], words: c.scratch.words[0]}
 	for len(batch) > 0 {
 		n := min(len(batch), execChunk)
-		chunk := batch[:n]
 		<-c.probeDone
 		if rest := batch[n:]; len(rest) > 0 {
 			m := min(len(rest), execChunk)
-			probeJobs <- probeJob{c: c, batch: rest[:m], buf: &c.scratch.buf[(k+1)&1]}
+			probeJobs <- probeJob{c: c, batch: rest[:m], words: c.scratch.words[(k+1)&1][:m]}
 		}
-		c.timingPass(chunk, &c.scratch.buf[k&1])
+		c.timingPass(c.scratch.words[k&1][:n])
 		batch = batch[n:]
 		k++
 	}
@@ -355,10 +378,8 @@ func (c *Core) executePipelined(batch []trace.Instruction) {
 // rings are indexed through power-of-two masks, and every config- or
 // mode-derived quantity was hoisted at construction/SetMode time, so the
 // loop body is branch-predictable integer arithmetic with no calls.
-func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
-	n := len(batch)
-	words := s.word[:n]
-
+func (c *Core) timingPass(words []uint64) {
+	n := len(words)
 	h := c.hier
 
 	comp := &c.comp
@@ -373,7 +394,8 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 	// after every store. Plain locals are provably unaliased.
 	cc := &c.cc
 	mp := &c.mp
-	opLUT := c.opLUT
+	opLUT := cc.opLUT
+	bubbles := cc.bubbles
 	memClassLat := cc.memClassLat
 	widths := mp.widths
 	rob := mp.rob
@@ -410,7 +432,7 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 	// instruction, so it is n − stalledOnDep. Per-cluster issue counts use
 	// a two-element array so the alternating steering pattern costs no
 	// branch.
-	var physRegRefs, stalledOnDep, readyWait uint64
+	var stalledOnDep, readyWait uint64
 	var issueC [2]uint64
 	var busy, crossFwd uint64
 	var sqStall, sqOcc, wrongPath, redirCycles uint64
@@ -428,27 +450,23 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 		mshrOn = 1
 	}
 
-	for i := range batch {
-		in := &batch[i]
-		op := uint8(in.Op)
-		ov := opLUT[op]
+	for _, w := range words {
+		ov := opLUT[w>>wOpShift&15]
 		fl := uint8(ov)
-		w := words[i]
-		info := uint8(w)
 
 		// --- Fetch: I-side bubbles, width, redirects, ROB occupancy.
 		// Every "advance the fetch cycle and restart the fetch group"
 		// condition here is trace-random, so each one folds its reset into
 		// a 0/−1 mask (g−1) instead of a branch; the checks still apply in
 		// the original order because each mask lands before the next test.
-		b := w >> 8
+		b := bubbles[w>>wISideShift&7]
 		fc += b
 		var gz int
 		if b != 0 {
 			gz = 1
 		}
 		fifc &= gz - 1
-		width := widths[info>>3&1]
+		width := widths[w>>wLegacyShift&1]
 		var gw int
 		if fifc >= width {
 			gw = 1
@@ -483,18 +501,12 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 		// in bounds; the value is simply unused when there is no
 		// producer), the steering toggle flips only for unsteered work,
 		// and single-cluster mode masks everything to cluster 0 via
-		// notSingle without touching the toggle.
-		d1 := in.Dep1
-		dist1 := uint64(d1)
-		var fbA, fbB uint8
-		if uint32(d1)-1 < 3 { // d1 ∈ {1,2,3}, one unsigned compare
-			fbA = 1
-		}
-		if dist1 <= idx {
-			fbB = 1
-		}
-		fb := fbA & fbB
-		pcl := clRing[(idx-dist1)&(depWindow-1)]
+		// notSingle without touching the toggle. The probe pass already
+		// reduced each distance to its ring offset and its presence and
+		// follow conditions to word bits (depBits).
+		j1 := (idx - w>>wDep1Shift) & (depWindow - 1)
+		fb := uint8(w >> wFollowShift & 1)
+		pcl := clRing[j1]
 		steer ^= (fb ^ 1) & notSingle
 		cl := steer ^ ((steer ^ pcl) & -fb)
 		cl &= notSingle
@@ -505,35 +517,19 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 		// unconditional ring reads and masked arithmetic for the same
 		// reason as steering: the presence, distance, and cluster of a
 		// producer are trace-random, and mispredicted branches on them
-		// would dominate the loop.
-		// A producer's completion (and its cross-cluster forwarding cost)
-		// counts only when the producer exists and is inside the window;
-		// both conditions become 0/−1 masks over the unconditional ring
-		// reads, so no trace-dependent branch survives.
+		// would dominate the loop. A producer's completion (and its
+		// cross-cluster forwarding cost) counts only when the producer
+		// exists and is inside the window; the word's in-window bit
+		// becomes a 0/−1 mask over the unconditional ring reads.
 		ready := dispatch
-		j1 := (idx - dist1) & (depWindow - 1)
-		x1 := uint64((clRing[j1] ^ cl) & notSingle)
-		var gd1 uint64
-		if d1 > 0 {
-			gd1 = 1
-		}
-		m1 := -(gd1 & uint64(fbB))
+		x1 := uint64((pcl ^ cl) & notSingle)
+		m1 := -(w >> wDep1InShift & 1)
 		v1 := (comp[j1] + x1*icd) & m1
-		d2 := in.Dep2
-		dist2 := uint64(d2)
-		j2 := (idx - dist2) & (depWindow - 1)
+		j2 := (idx - w>>wDep2Shift) & (depWindow - 1)
 		x2 := uint64((clRing[j2] ^ cl) & notSingle)
-		var gd2, gl2 uint64
-		if d2 > 0 {
-			gd2 = 1
-		}
-		if dist2 <= idx {
-			gl2 = 1
-		}
-		m2 := -(gd2 & gl2)
+		m2 := -(w >> wDep2InShift & 1)
 		v2 := (comp[j2] + x2*icd) & m2
 		crossFwd += x1&m1 + x2&m2
-		physRegRefs += gd1 + gd2
 		depReady := max(v1, v2)
 		var sd uint64
 		if depReady > ready {
@@ -557,7 +553,7 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 		// path, so each probe is a load, a few flag-set compares, and a
 		// single almost-always-taken exit branch.
 		lat := uint64(ov >> 8)
-		cls := info & infoClassMask
+		cls := uint8(w) & clsClassMask
 		shI := uint(ci) * 4
 		var issue uint64
 		if fl&flagLoad != 0 {
@@ -716,7 +712,7 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 		retireMax = max(retireMax, complete)
 
 		// --- Branch resolution (direction precomputed by branchPass).
-		if info&infoMispredict != 0 {
+		if w&wMispredict != 0 {
 			r := complete + mispen
 			if r > redirect {
 				// Wrong-path fetch between now and resolution is flushed.
@@ -743,7 +739,6 @@ func (c *Core) timingPass(batch []trace.Instruction, s *probeBuf) {
 	h.mshrNext = mshr
 
 	c.ev.Instrs += uint64(n)
-	c.ev.PhysRegRefs += physRegRefs
 	c.ev.UopsStalledOnDep += stalledOnDep
 	c.ev.UopsReady += uint64(n) - stalledOnDep
 	c.ev.ReadyWaitCycles += readyWait

@@ -12,11 +12,12 @@ import (
 // the caller's goroutine, the pool runs the probe pass for chunk k+1.
 //
 // Why this is exact: the probe pass mutates only cache, predictor, and
-// I-side state, the timing pass only cycle rings and queue clocks, and
-// the two flush disjoint Events fields — so overlapping them reorders no
-// observable computation. Program order within each kind of state is
-// preserved because a core never has more than one probe job in flight
-// (Execute receives probeDone for chunk k before submitting k+1).
+// I-side state and credits only front-end Events fields, the timing pass
+// only cycle rings, queue clocks and the other Events fields — so
+// overlapping them reorders no observable computation. Program order
+// within each kind of state is preserved because a core never has more
+// than one probe job in flight (Execute receives probeDone for chunk k
+// before submitting k+1).
 //
 // Why a shared pool rather than a goroutine per Execute call: spawning a
 // goroutine allocates, and steady-state Execute is pinned to zero
@@ -25,13 +26,13 @@ import (
 // core in the process (including concurrent cores under the parallel
 // sweep runner).
 
-// probeJob asks the pool to run c.probePass(batch, buf) and then signal
-// c.probeDone. The channel send publishes every buf write to the receiving
-// goroutine.
+// probeJob asks the pool to run c.probePass(batch, words) and then signal
+// c.probeDone. The channel send publishes every word write to the
+// receiving goroutine.
 type probeJob struct {
 	c     *Core
 	batch []trace.Instruction
-	buf   *probeBuf
+	words []uint64
 }
 
 var (
@@ -57,7 +58,7 @@ func startProbePool() {
 	for i := 0; i < workers; i++ {
 		go func() {
 			for j := range probeJobs {
-				j.c.probePass(j.batch, j.buf)
+				j.c.probePass(j.batch, j.words)
 				j.c.probeDone <- struct{}{}
 			}
 		}()

@@ -28,10 +28,12 @@ echo "== go test -race (worker pool + observability + robustness packages)"
 # internal/core under -race runs ~10 min on a 1-core container; give it
 # headroom beyond go test's default 10m timeout.
 # internal/telemetry is in the list because its standard counter-set
-# template is shared by every goroutine that decodes a firmware image.
+# template is shared by every goroutine that decodes a firmware image;
+# internal/uarch because a trace's deployment tape is recorded once and
+# replayed by every concurrent deployment of that trace.
 go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
-    ./internal/ctrlplane/... ./internal/telemetry/... ./cmd/obsdiff/...
+    ./internal/ctrlplane/... ./internal/telemetry/... ./internal/uarch/... ./cmd/obsdiff/...
 
 echo "== fuzz firmware-image loading (FuzzLoadController, 10s)"
 # Both load paths must return a controller or an error for any bytes; the
@@ -39,6 +41,11 @@ echo "== fuzz firmware-image loading (FuzzLoadController, 10s)"
 # Minimising each new input may otherwise take up to a minute, which would
 # leave the 10s budget no time to fuzz.
 go test -run '^$' -fuzz '^FuzzLoadController$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+
+echo "== fuzz binary trace decoding (FuzzTraceReader, 10s)"
+# Any bytes must decode to at most the declared instruction count or fail
+# with an error; seeds live in internal/trace/testdata/fuzz/FuzzTraceReader.
+go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.

@@ -7,7 +7,7 @@
 //
 //	go run scripts/validate-json.go FILE...
 //
-// Three shapes are recognised:
+// These shapes are recognised:
 //
 //   - *.jsonl — an event log: every line must be a JSON object carrying
 //     the required scope/t/kind fields, and lines must be sorted by
@@ -16,6 +16,10 @@
 //   - a JSON object with a "traceEvents" array — a Chrome trace: every
 //     event needs name/ph/pid/tid, "X" events need ts and non-negative
 //     dur.
+//   - a JSON object with a "gomaxprocs" field — a run manifest: wall
+//     clock, integer counters, and a positive peak_rss_mb unless the
+//     platform could not report one (then the field is absent).
+//   - the benchmark artifacts that carry a "schema" tag.
 //   - anything else — plain JSON well-formedness, as before.
 //
 // It exits nonzero on the first unreadable or malformed file and prints a
@@ -69,6 +73,9 @@ func validate(path string) error {
 		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "ctrlplane-bench/") {
 			return validateCtrlplaneBench(path, v)
 		}
+		if _, ok := v["gomaxprocs"]; ok {
+			return validateRunManifest(path, v)
+		}
 		fmt.Printf("%s: valid JSON object, %d top-level keys\n", path, len(v))
 	case []any:
 		fmt.Printf("%s: valid JSON array, %d elements\n", path, len(v))
@@ -115,6 +122,38 @@ func validateEventLog(path string, data []byte) error {
 		return err
 	}
 	fmt.Printf("%s: valid event log, %d events, deterministically ordered\n", path, n)
+	return nil
+}
+
+// validateRunManifest checks an obs run manifest (paperbench -manifest):
+// the wall clock must be present and finite, every counter an integer,
+// and the process's peak resident set size positive — or absent, which is
+// how a manifest says the platform could not report it.
+func validateRunManifest(path string, v map[string]any) error {
+	for _, k := range []string{"wall_seconds", "gomaxprocs"} {
+		n, ok := v[k].(float64)
+		if !ok {
+			return fmt.Errorf("missing or non-numeric field %q", k)
+		}
+		if n != n || n < 0 || n > 1e15 {
+			return fmt.Errorf("field %q is negative, NaN or unbounded: %v", k, n)
+		}
+	}
+	rss := "unavailable"
+	if r, present := v["peak_rss_mb"]; present {
+		n, ok := r.(float64)
+		if !ok || n <= 0 || n > 1e9 {
+			return fmt.Errorf("peak_rss_mb is %v, want a positive MiB figure or no field", r)
+		}
+		rss = fmt.Sprintf("%.0f MiB", n)
+	}
+	counters, _ := v["counters"].(map[string]any)
+	for name, c := range counters {
+		if n, ok := c.(float64); !ok || n != float64(int64(n)) {
+			return fmt.Errorf("counter %q is not an integer: %v", name, c)
+		}
+	}
+	fmt.Printf("%s: valid run manifest, %d counters, peak RSS %s\n", path, len(counters), rss)
 	return nil
 }
 
