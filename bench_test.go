@@ -231,7 +231,7 @@ func BenchmarkTable6AppSpecific(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum, err := core.EvaluateOnCorpus(general, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, general, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			b.Fatal(err)
 		}

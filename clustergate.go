@@ -143,16 +143,21 @@ func BuildAppSpecificRF(in BuildInputs, appTel []*TraceTelemetry, name string) (
 	return core.BuildAppSpecificRF(in, appTel, name)
 }
 
-// Deploy runs a controller closed-loop over one trace.
+// Deploy runs a controller closed-loop over one trace on the cycle model.
 func Deploy(g *GatingController, tr *trace.Trace, ref *TraceTelemetry,
 	cfg DatasetConfig, pm *PowerModel) (*DeploymentResult, error) {
-	return core.Deploy(g, tr, ref, cfg, pm)
+	r, err := core.DeployWithOptions(g, tr, ref, cfg, pm, core.DeployOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &r.DeploymentResult, nil
 }
 
-// EvaluateOnCorpus deploys a controller on every trace of a corpus.
+// EvaluateOnCorpus deploys a controller on every trace of a corpus on the
+// cycle model.
 func EvaluateOnCorpus(g *GatingController, c *Corpus, tel []*TraceTelemetry,
 	cfg DatasetConfig, pm *PowerModel) (*Summary, error) {
-	return core.EvaluateOnCorpus(g, c, tel, cfg, pm)
+	return core.EvaluateOnCorpus(core.ExactOracle{}, g, c, tel, cfg, pm)
 }
 
 // OracleResidency returns the ideal low-power residency under an SLA

@@ -67,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 
-	sum, err := core.EvaluateOnCorpus(g, test, testTel, cfg, power.DefaultModel())
+	sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, g, test, testTel, cfg, power.DefaultModel())
 	if err != nil {
 		fatal(err)
 	}

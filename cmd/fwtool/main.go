@@ -187,7 +187,7 @@ func doEval(path string, seed int64, noVerify bool, stdout, stderr io.Writer) er
 	cfg := dataset.DefaultConfig()
 	fmt.Fprintf(stderr, "simulating %d test traces...\n", len(test.Traces))
 	tel := dataset.SimulateCorpus(test, cfg)
-	sum, err := core.EvaluateOnCorpus(g, test, tel, cfg, power.DefaultModel())
+	sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, g, test, tel, cfg, power.DefaultModel())
 	if err != nil {
 		return err
 	}

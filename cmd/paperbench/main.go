@@ -55,8 +55,10 @@
 // run metadata), -results writes machine-readable per-experiment metrics,
 // -events writes the structured sim-time event log (guardrail trips, fault
 // injections, CRC rejections, ring promotions/rollbacks, flight-recorder
-// incident dumps) as deterministically ordered JSONL, -trace writes the
-// span tree as Chrome trace-event JSON loadable in Perfetto, -debug-addr
+// incident dumps) as deterministically ordered JSONL; deployments log
+// under every -sim mode, since the surrogate runs the same decision loop
+// as the cycle model. -trace writes the span tree as Chrome trace-event
+// JSON loadable in Perfetto, -debug-addr
 // serves live /metrics, /healthz, and /debug/pprof while the run is in
 // flight, and -cpuprofile/-memprofile write standard pprof profiles. None
 // of these perturb experiment output: stdout is byte-identical with and

@@ -55,7 +55,7 @@ func main() {
 	}
 	fatalIf(err)
 
-	sum, err := core.EvaluateOnCorpus(g, env.SPEC, env.SPECTel, env.Cfg, env.PM)
+	sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, g, env.SPEC, env.SPECTel, env.Cfg, env.PM)
 	fatalIf(err)
 	fmt.Printf("%s cols=%s thr=%.2f/%.2f PPW=%.3f RSV=%.4f PGOS=%.3f resid=%.3f\n",
 		g.Name, *cols, g.ThresholdHigh, g.ThresholdLow,

@@ -92,7 +92,7 @@ func main() {
 		{"general firmware", general},
 		{"app-specific firmware", specific},
 	} {
-		sum, err := core.EvaluateOnCorpus(m.g, sub, subTel, cfg, pm)
+		sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, m.g, sub, subTel, cfg, pm)
 		if err != nil {
 			log.Fatal(err)
 		}

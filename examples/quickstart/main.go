@@ -69,7 +69,7 @@ func main() {
 
 	// 4. Deploy closed-loop on the held-out suite.
 	fmt.Println("\n== deploying on unseen applications ==")
-	sum, err := core.EvaluateOnCorpus(controller, test, testTel, cfg, power.DefaultModel())
+	sum, err := core.EvaluateOnCorpus(core.ExactOracle{}, controller, test, testTel, cfg, power.DefaultModel())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,9 @@
 // gating driven by machine-learning adaptation models executing in
 // microcontroller firmware (Figure 1). A GatingController pairs one model
 // per cluster configuration with calibrated sensitivity thresholds and a
-// prediction granularity; Deploy runs the controller closed-loop on the
-// cycle-level CPU model, switching modes with the paper's t→t+2 pipeline
+// prediction granularity; DeployFrom runs the controller closed-loop over
+// an interval source — the cycle-level CPU model (DeployWithOptions) or a
+// surrogate — switching modes with the paper's t→t+2 pipeline
 // (telemetry from interval t, computed during t+1, applied at t+2), and
 // reports PPW against an always-high-performance reference plus the
 // PGOS/RSV prediction metrics of Section 4.2.
@@ -18,7 +19,6 @@ import (
 	"clustergate/internal/metrics"
 	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
-	"clustergate/internal/trace"
 	"clustergate/internal/uarch"
 )
 
@@ -197,19 +197,6 @@ func (r *DeploymentResult) Eval(win metrics.SLAWindow) metrics.Eval {
 // than the model's.
 func (r *DeploymentResult) EffectiveEval(win metrics.SLAWindow) metrics.Eval {
 	return metrics.Evaluate(r.Eff, r.Truth, win)
-}
-
-// Deploy runs the controller closed-loop over one trace. ref must be the
-// fixed-mode telemetry of the same trace (it provides ground-truth labels
-// and the always-high reference for power accounting). It is the bare
-// path of DeployWithOptions: no guardrail, no fault injection.
-func Deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
-	cfg dataset.Config, pm *power.Model) (*DeploymentResult, error) {
-	r, err := DeployWithOptions(g, tr, ref, cfg, pm, DeployOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &r.DeploymentResult, nil
 }
 
 // newDeployRNG seeds the deployment-time telemetry-noise stream.

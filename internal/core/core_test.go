@@ -93,7 +93,7 @@ func TestBuildBestRFEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, err := EvaluateOnCorpus(g, e.spec, e.specTel, e.cfg, e.pm)
+	sum, err := EvaluateOnCorpus(ExactOracle{}, g, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestCHARSTARMoreViolationsThanBestRF(t *testing.T) {
 		t.Error("CHARSTAR must use uncalibrated 0.5 thresholds")
 	}
 
-	rfSum, err := EvaluateOnCorpus(rf, e.spec, e.specTel, e.cfg, e.pm)
+	rfSum, err := EvaluateOnCorpus(ExactOracle{}, rf, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chSum, err := EvaluateOnCorpus(ch, e.spec, e.specTel, e.cfg, e.pm)
+	chSum, err := EvaluateOnCorpus(ExactOracle{}, ch, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func scriptedController(e *testEnv, score float64) *GatingController {
 func TestDeployAlwaysHighKeepsReferenceBehaviour(t *testing.T) {
 	e := env(t)
 	g := scriptedController(e, 0.0) // never gate
-	r, err := Deploy(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm)
+	r, err := DeployWithOptions(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDeployAlwaysGate(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no aligned trace found")
 	}
-	r, err := Deploy(g, tr, tel, e.cfg, e.pm)
+	r, err := DeployWithOptions(g, tr, tel, e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDeployAlwaysGate(t *testing.T) {
 func TestDeployTraceMismatch(t *testing.T) {
 	e := env(t)
 	g := scriptedController(e, 0)
-	if _, err := Deploy(g, e.spec.Traces[0], e.specTel[1], e.cfg, e.pm); err == nil {
+	if _, err := DeployWithOptions(g, e.spec.Traces[0], e.specTel[1], e.cfg, e.pm, DeployOptions{}); err == nil {
 		t.Error("mismatched trace/telemetry accepted")
 	}
 }
@@ -278,11 +278,11 @@ func TestCalibrationLowersFalsePositives(t *testing.T) {
 			calibrated.ThresholdHigh, calibrated.ThresholdLow)
 	}
 
-	calSum, err := EvaluateOnCorpus(calibrated, e.spec, e.specTel, e.cfg, e.pm)
+	calSum, err := EvaluateOnCorpus(ExactOracle{}, calibrated, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawSum, err := EvaluateOnCorpus(raw, e.spec, e.specTel, e.cfg, e.pm)
+	rawSum, err := EvaluateOnCorpus(ExactOracle{}, raw, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestRetrainSLALoosensGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tightSum, err := EvaluateOnCorpus(tight, e.spec, e.specTel, e.cfg, e.pm)
+	tightSum, err := EvaluateOnCorpus(ExactOracle{}, tight, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	looseSum, err := EvaluateOnCorpus(loose, e.spec, e.specTel, e.cfg, e.pm)
+	looseSum, err := EvaluateOnCorpus(ExactOracle{}, loose, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestBuildSRCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := EvaluateOnCorpus(g, e.spec, e.specTel, e.cfg, e.pm)
+	sum, err := EvaluateOnCorpus(ExactOracle{}, g, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestBuildSRCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarseSum, err := EvaluateOnCorpus(coarse, e.spec, e.specTel, e.cfg, e.pm)
+	coarseSum, err := EvaluateOnCorpus(ExactOracle{}, coarse, e.spec, e.specTel, e.cfg, e.pm)
 	if err != nil {
 		t.Fatal(err)
 	}

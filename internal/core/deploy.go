@@ -13,8 +13,8 @@ import (
 	"clustergate/internal/uarch"
 )
 
-// DeployOptions harden a closed-loop deployment. The zero value reproduces
-// the bare Deploy path exactly.
+// DeployOptions harden a closed-loop deployment. The zero value deploys
+// bare: no guardrail and no fault injection.
 type DeployOptions struct {
 	// Guardrail enables the SLA guardrail watchdog: implausible telemetry
 	// and sustained gated-degradation streaks force the safe dual-cluster
@@ -26,34 +26,50 @@ type DeployOptions struct {
 	Injector *fault.Injector
 }
 
-// Deployment observability: closed-loop trace deployments completed and
-// individual gating predictions issued, for run manifests.
+// Deployment observability: closed-loop trace deployments completed, on
+// any interval source, and individual gating predictions issued, for run
+// manifests.
 var (
 	deploysDone = obs.NewCounter("core.deployments")
 	predsIssued = obs.NewCounter("core.predictions")
 )
 
-// DeployWithOptions is the hardened deployment engine behind Deploy and
-// DeployGuarded: it runs the controller closed-loop over one trace with
-// optional fault injection and the optional guardrail watchdog layered
-// over the model's decisions.
-//
-// Fault semantics mirror real silicon: telemetry faults corrupt only what
-// the controller *observes* (execution and power accounting always use
-// the true event stream); a dropped snapshot leaves the controller
-// holding its previous decision; prediction faults hijack the model's
-// output after it is computed. Pred records the model/fault pipeline's
-// decisions (so PGOS/RSV measure the predictor), while Eff records the
-// configuration actually applied after guardrail overrides (so effective
-// SLA violations measure the system).
-//
-// The cycle model replays the trace's deployment tape (deployTape), so
-// only the first deployment of a trace generates and probes it; results
-// are identical to executing the trace live.
+// IntervalSource supplies a closed-loop deployment with its intervals, in
+// order. Given the global interval index, the mode in effect and the DRAM
+// derate factor for the interval, NextInterval returns the interval's
+// base-signal vector (the telemetry.ExtractBase layout), or nil once the
+// trace runs dry. The exact source executes the interval on the cycle
+// model; the surrogate package estimates it from the trace's recorded
+// fixed-mode telemetry. Implementations must be deterministic, and the
+// deployment owns each returned slice.
+type IntervalSource interface {
+	NextInterval(gidx int, mode uarch.Mode, derate float64) []float64
+}
+
+// runnerSource is the exact interval source: a cycle-model runner stepping
+// through the trace.
+type runnerSource struct{ r *uarch.Runner }
+
+// NextInterval executes the next interval in mode under derate.
+func (s runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
+	s.r.SetMode(mode)
+	s.r.SetMemDerate(derate)
+	delta, n := s.r.Next()
+	if n == 0 {
+		return nil
+	}
+	return telemetry.ExtractBase(delta)
+}
+
+// DeployWithOptions runs the controller closed-loop over one trace on the
+// exact cycle model (see DeployFrom). The cycle model replays the trace's
+// deployment tape (deployTape), so only the first deployment of a trace
+// generates and probes it; results are identical to executing the trace
+// live.
 func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
-	return deploy(g, tr, ref, cfg, pm, opts, func(interval int) *uarch.Runner {
-		return deployTape(tr, cfg).Runner(uarch.ModeHighPerf, cfg.Warmup, interval)
+	return DeployFrom(g, tr, ref, pm, opts, func() IntervalSource {
+		return runnerSource{deployTape(tr, cfg).Runner(uarch.ModeHighPerf, cfg.Warmup, g.Interval)}
 	})
 }
 
@@ -99,11 +115,25 @@ func deployTape(tr *trace.Trace, cfg dataset.Config) *uarch.Tape {
 	return t
 }
 
-// deploy is DeployWithOptions over the interval runner newRun returns: a
-// fresh core warmed up as during dataset generation, stepping the trace
-// interval by interval.
-func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
-	cfg dataset.Config, pm *power.Model, opts DeployOptions, newRun func(interval int) *uarch.Runner) (*GuardedDeploymentResult, error) {
+// DeployFrom is the closed-loop deployment engine, the one decision loop
+// behind every simulation oracle. It runs the controller over one trace
+// on the intervals of the source open returns, with optional fault
+// injection and the optional guardrail watchdog layered over the model's
+// decisions: telemetry observed in window t drives the prediction made
+// during t+1, applied in t+2 (Figure 3). open is called once the inputs
+// pass their checks; every deployment starts warmed up in
+// high-performance mode.
+//
+// Fault semantics mirror real silicon: telemetry faults corrupt only what
+// the controller *observes* (execution and power accounting always use
+// the true event stream); a dropped snapshot leaves the controller
+// holding its previous decision; prediction faults hijack the model's
+// output after it is computed. Pred records the model/fault pipeline's
+// decisions (so PGOS/RSV measure the predictor), while Eff records the
+// configuration actually applied after guardrail overrides (so effective
+// SLA violations measure the system).
+func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
+	pm *power.Model, opts DeployOptions, open func() IntervalSource) (*GuardedDeploymentResult, error) {
 	if tr.Name != ref.TraceName {
 		return nil, fmt.Errorf("core: trace %q does not match telemetry %q", tr.Name, ref.TraceName)
 	}
@@ -125,15 +155,16 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	// load. Everything recorded is derived from sim state — the interval
 	// index is the clock — so event files are identical at any worker
 	// count.
-	scope := "deploy/" + tr.Name
+	var scope string
 	var flight *obs.Flight
 	if obs.EventsActive() {
+		scope = "deploy/" + tr.Name
 		flight = obs.NewFlight(scope, obs.DefaultFlightCap)
 	}
 	tripsSeen := 0
 	var injectedSeen int64
 
-	run := newRun(g.Interval)
+	src := open()
 
 	res := &GuardedDeploymentResult{}
 	rng := newDeployRNG(tr.Seed)
@@ -153,6 +184,7 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	pending := make(map[int]uarch.Mode)
 	prevPred := 0
 	gidx := 0 // global interval index, the fault schedule's clock
+	mode := uarch.ModeHighPerf
 
 	for w := 0; w < nWindows; w++ {
 		// Apply the decision made two windows ago (Figure 3 pipeline),
@@ -161,13 +193,13 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 			if state != nil && state.backoff > 0 {
 				m = uarch.ModeHighPerf
 			}
-			if m != run.Mode() {
+			if m != mode {
 				res.Switches++
+				mode = m
 			}
-			run.SetMode(m)
 			delete(pending, w)
 		}
-		if run.Mode() == uarch.ModeLowPower {
+		if mode == uarch.ModeLowPower {
 			applied[w] = 1
 		} else {
 			applied[w] = 0
@@ -184,13 +216,11 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 			derate := 1.0
 			if ti != nil {
 				derate = ti.MemDerate(gidx)
-				run.SetMemDerate(derate)
 			}
-			delta, n := run.Next()
-			if n == 0 {
+			trueBase := src.NextInterval(gidx, mode, derate)
+			if trueBase == nil {
 				break
 			}
-			trueBase := telemetry.ExtractBase(delta)
 			observed := trueBase
 			if ti != nil {
 				o, _, dropped := ti.Telemetry(gidx, trueBase, prevTrue)
@@ -205,8 +235,9 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 			window = append(window, observed)
 			// Power accounting always follows true execution: faults
 			// corrupt the telemetry fabric, not the pipeline.
-			res.Adaptive.Add(pm, telemetry.BaseToEvents(trueBase), run.Mode())
-			gated := run.Mode() == uarch.ModeLowPower
+			ev := telemetry.BaseToEvents(trueBase)
+			res.Adaptive.Add(pm, ev, mode)
+			gated := mode == uarch.ModeLowPower
 			if gated {
 				lowIntervals++
 			}
@@ -217,10 +248,10 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 			if flight != nil {
 				sample := obs.FlightSample{
 					T:     int64(gidx),
-					Power: pm.Energy(telemetry.BaseToEvents(trueBase), run.Mode()),
+					Power: pm.Energy(ev, mode),
 				}
-				if delta.Cycles > 0 {
-					sample.IPC = float64(delta.Instrs) / float64(delta.Cycles)
+				if ev.Cycles > 0 {
+					sample.IPC = float64(ev.Instrs) / float64(ev.Cycles)
 				}
 				if derate != 1 {
 					sample.MemDerate = derate
@@ -267,7 +298,7 @@ func deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
 			agg, per := g.windowVectors(window, rng)
-			pred := g.decide(run.Mode(), agg, per)
+			pred := g.decide(mode, agg, per)
 			if ti != nil {
 				if windowDropped {
 					// No fresh snapshot arrived: the controller cannot

@@ -73,12 +73,13 @@ func newDeploySuite(t *testing.T, seed int64) *deploySuite {
 	return s
 }
 
-// liveDeploy deploys by generating and probing the trace as it goes, the
-// path the tape replaces.
+// liveDeploy deploys through the same decision loop over a live runner,
+// which generates and probes the trace as it goes: the path the tape
+// replaces.
 func (s *deploySuite) liveDeploy(g *GatingController, i int, opts DeployOptions) (*GuardedDeploymentResult, error) {
 	tr := s.traces[i]
-	return deploy(g, tr, s.tel[i], s.cfg, s.pm, opts, func(interval int) *uarch.Runner {
-		return uarch.NewRunner(s.cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), s.cfg.Warmup, interval)
+	return DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
+		return runnerSource{uarch.NewRunner(s.cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), s.cfg.Warmup, g.Interval)}
 	})
 }
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+
 	"clustergate/internal/dataset"
 	"clustergate/internal/metrics"
+	"clustergate/internal/parallel"
 	"clustergate/internal/power"
 	"clustergate/internal/trace"
 )
@@ -125,18 +129,59 @@ func (s *Summary) MeanBenchmarkPPWGain() float64 {
 	return sum / float64(len(s.PerBenchmark))
 }
 
-// EvaluateOnCorpus deploys the controller on every trace of the corpus and
-// aggregates overall and per-benchmark results. tel must be the corpus's
-// fixed-mode telemetry in trace order (as produced by SimulateCorpus).
+// EvaluateOnCorpus deploys the controller on every trace of the corpus
+// through oracle and aggregates overall and per-benchmark results. tel
+// must be the corpus's fixed-mode telemetry in trace order (as produced by
+// SimulateCorpus). Pass ExactOracle{} to deploy on the cycle model.
 //
 // Per-trace deployments are independent (the controller is read-only
-// during Deploy; all mutable state is trace-local), so they fan out over
-// cfg.Workers workers; the floating-point aggregation then folds the
+// during a deployment; all mutable state is trace-local), so they fan out
+// over cfg.Workers workers; the floating-point aggregation then folds the
 // ordered results serially, keeping the summary bit-identical at any
 // worker count.
-//
-// It is the exact-oracle path of EvaluateOnCorpusOracle.
-func EvaluateOnCorpus(g *GatingController, corpus *trace.Corpus, tel []*dataset.TraceTelemetry,
-	cfg dataset.Config, pm *power.Model) (*Summary, error) {
-	return EvaluateOnCorpusOracle(ExactOracle{}, g, corpus, tel, cfg, pm)
+func EvaluateOnCorpus(oracle SimOracle, g *GatingController, corpus *trace.Corpus,
+	tel []*dataset.TraceTelemetry, cfg dataset.Config, pm *power.Model) (*Summary, error) {
+	if len(corpus.Traces) != len(tel) {
+		return nil, fmt.Errorf("core: %d traces but %d telemetry records", len(corpus.Traces), len(tel))
+	}
+	win := g.Window()
+	sum := &Summary{Controller: g.Name}
+	byBench := map[string]*BenchResult{}
+
+	runs, err := parallel.Map(cfg.Workers, len(corpus.Traces), func(i int) (*DeploymentResult, error) {
+		r, err := oracle.Deploy(g, corpus.Traces[i], tel[i], cfg, pm, DeployOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("core: deploying %s: %w", corpus.Traces[i].Name, err)
+		}
+		return &r.DeploymentResult, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for i, tr := range corpus.Traces {
+		r := runs[i]
+		sum.Overall.fold(r, win)
+		key := tr.App.Benchmark
+		if key == "" {
+			key = tr.App.Name
+		}
+		b := byBench[key]
+		if b == nil {
+			b = &BenchResult{Name: key}
+			byBench[key] = b
+		}
+		b.fold(r, win)
+	}
+
+	sum.Overall.Name = "overall"
+	sum.Overall.finish()
+	for _, b := range byBench {
+		b.finish()
+		sum.PerBenchmark = append(sum.PerBenchmark, b)
+	}
+	sort.Slice(sum.PerBenchmark, func(i, j int) bool {
+		return sum.PerBenchmark[i].Name < sum.PerBenchmark[j].Name
+	})
+	return sum, nil
 }

@@ -105,7 +105,7 @@ func TestGuardedBuildReservesWatchdog(t *testing.T) {
 func TestDeployDRAMDerateDegradesExecution(t *testing.T) {
 	e := env(t)
 	g := scriptedController(e, 0.0) // never gate: both runs stay in high-perf mode
-	bare, err := Deploy(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm)
+	bare, err := DeployWithOptions(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

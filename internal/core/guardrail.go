@@ -1,11 +1,8 @@
 package core
 
 import (
-	"clustergate/internal/dataset"
 	"clustergate/internal/obs"
-	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
-	"clustergate/internal/trace"
 )
 
 // Guardrail is the fail-safe mechanism Section 3.1 reserves for the final
@@ -189,15 +186,4 @@ type GuardedDeploymentResult struct {
 	// safe-mode-on-blackout policy overrode to the safe mode; always zero
 	// under the default hold-last-decision policy.
 	BlackoutOverrides int
-}
-
-// DeployGuarded runs the controller closed-loop with the fail-safe
-// guardrail layered over the model's decisions: whenever the guardrail
-// has tripped, low-power decisions are overridden to high-performance
-// until the backoff expires. Predictions are still recorded as the model
-// made them, so PGOS/RSV measure the model while PPW — and the Eff
-// sequence — measure the guarded system.
-func DeployGuarded(g *GatingController, gr Guardrail, tr *trace.Trace,
-	ref *dataset.TraceTelemetry, cfg dataset.Config, pm *power.Model) (*GuardedDeploymentResult, error) {
-	return DeployWithOptions(g, tr, ref, cfg, pm, DeployOptions{Guardrail: &gr})
 }

@@ -157,11 +157,12 @@ func TestDeployGuardedNeverWorseOnViolations(t *testing.T) {
 	if idx < 0 {
 		t.Skip("no x264 trace in subset")
 	}
-	plain, err := Deploy(g, e.spec.Traces[idx], e.specTel[idx], e.cfg, e.pm)
+	plain, err := DeployWithOptions(g, e.spec.Traces[idx], e.specTel[idx], e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := DeployGuarded(g, DefaultGuardrail(), e.spec.Traces[idx], e.specTel[idx], e.cfg, e.pm)
+	gr := DefaultGuardrail()
+	guarded, err := DeployWithOptions(g, e.spec.Traces[idx], e.specTel[idx], e.cfg, e.pm, DeployOptions{Guardrail: &gr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,8 @@ func TestDeployGuardedTransparentWhenSafe(t *testing.T) {
 	e := env(t)
 	// A never-gate controller never triggers the guardrail.
 	g := scriptedController(e, 0.0)
-	r, err := DeployGuarded(g, DefaultGuardrail(), e.spec.Traces[0], e.specTel[0], e.cfg, e.pm)
+	gr := DefaultGuardrail()
+	r, err := DeployWithOptions(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm, DeployOptions{Guardrail: &gr})
 	if err != nil {
 		t.Fatal(err)
 	}

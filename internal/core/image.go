@@ -216,68 +216,44 @@ func encodeModel(p Predictor) (ModelBlob, error) {
 // decodeModel reconstructs a predictor from a blob, re-deriving its
 // firmware cost.
 func decodeModel(b ModelBlob, name string, inputs int) (Predictor, error) {
-	dec := gob.NewDecoder(bytes.NewReader(b.Gob))
 	// Shape-checked models read the selected columns, or the whole
 	// counter space when none are selected.
 	width := inputs
 	if width == 0 {
 		width = telemetry.TotalCounters
 	}
-	var model interface{ Score([]float64) float64 }
+	// Every kind is shape-checked after decoding, so a damaged payload
+	// is rejected here instead of failing at inference.
+	var model interface {
+		Score([]float64) float64
+		CheckShape(inputs int) error
+	}
 	switch b.Kind {
 	case "random-forest":
-		m := &forest.Forest{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		if err := m.CheckShape(width); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		model = m
+		model = &forest.Forest{}
 	case "decision-tree":
-		m := &forest.Tree{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		if err := m.CheckShape(width); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		model = m
+		model = &forest.Tree{}
 	case "mlp":
-		m := &mlp.MLP{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		if err := m.CheckShape(width); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		model = m
+		model = &mlp.MLP{}
 	case "logistic":
-		m := &linear.Logistic{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		model = m
+		model = &linear.Logistic{}
 	case "srch":
-		m := &linear.SRCH{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		return WindowPredictor{M: m}, nil
+		model = &linear.SRCH{}
 	case "svm-linear":
-		m := &svm.Linear{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		model = m
+		model = &svm.Linear{}
 	case "svm-ensemble":
-		m := &svm.Ensemble{}
-		if err := dec.Decode(m); err != nil {
-			return nil, err
-		}
-		model = m
+		model = &svm.Ensemble{}
 	default:
 		return nil, fmt.Errorf("core: unknown model kind %q", b.Kind)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(b.Gob)).Decode(model); err != nil {
+		return nil, err
+	}
+	if err := model.CheckShape(width); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", name, err)
+	}
+	if m, ok := model.(*linear.SRCH); ok {
+		return WindowPredictor{M: m}, nil
 	}
 	fw, err := mcu.NewFirmware(name, model, inputs)
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 	"clustergate/internal/dataset"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/forest"
+	"clustergate/internal/ml/linear"
 	"clustergate/internal/ml/mlp"
+	"clustergate/internal/ml/svm"
 	"clustergate/internal/telemetry"
 )
 
@@ -171,9 +173,40 @@ func wideFeatureImage(t testing.TB) []byte {
 	return treeImage(t, []forest.Node{{Feature: 3, Left: 1, Right: 2}, {Feature: -1}, {Feature: -1, Prob: 1}})
 }
 
-// TestLoadRejectsMalformedTrees sends images whose trees, forest or
-// counter columns could not be scored through both load paths: each must
-// fail with an error.
+// lowPowerImage seals smallController with its low-power model replaced by
+// p: a CRC-valid image carrying whatever model shape the bytes say.
+func lowPowerImage(t testing.TB, p Predictor) []byte {
+	g := smallController()
+	g.LowPower = p
+	return seal(t, g)
+}
+
+// unitScaler standardises n inputs with zero mean and unit deviation.
+func unitScaler(n int) *ml.Scaler {
+	s := &ml.Scaler{Mean: make([]float64, n), Std: make([]float64, n)}
+	for i := range s.Std {
+		s.Std[i] = 1
+	}
+	return s
+}
+
+// shortLogisticImage carries a logistic model with one weight over the
+// three selected counters: it loaded, and its first score panicked
+// indexing the weights.
+func shortLogisticImage(t testing.TB) []byte {
+	return lowPowerImage(t, PointPredictor{M: &linear.Logistic{W: []float64{1}, Scaler: unitScaler(3)}})
+}
+
+// emptyEnsembleImage carries an SVM ensemble without members: it loaded,
+// and it scored NaN.
+func emptyEnsembleImage(t testing.TB) []byte {
+	return lowPowerImage(t, PointPredictor{M: &svm.Ensemble{}})
+}
+
+// TestLoadRejectsMalformedTrees sends images whose trees, forest, linear,
+// SVM or SRCH models, or counter columns could not be scored through both
+// load paths: each must fail with an error. Well-formed models of the
+// linear, SVM and SRCH kinds load and score.
 func TestLoadRejectsMalformedTrees(t *testing.T) {
 	leaves := []forest.Node{{Feature: -1}, {Feature: -1, Prob: 1}}
 	split := func(f int, l, r int32) []forest.Node {
@@ -188,6 +221,14 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 		g.Columns = []int{0, c, 16}
 		return seal(t, g)
 	}
+	logistic := func(w int) *linear.Logistic { return &linear.Logistic{W: make([]float64, w), Scaler: unitScaler(w)} }
+	svmLinear := func(w int) *svm.Linear { return &svm.Linear{W: make([]float64, w), Scaler: unitScaler(w)} }
+	srch := func(buckets int, edges [][]float64, lr *linear.Logistic) Predictor {
+		return WindowPredictor{M: &linear.SRCH{Buckets: buckets, Edges: edges, Window: 1, LR: lr}}
+	}
+	// One interior edge per selected counter: two buckets each, six
+	// histogram features.
+	edges := [][]float64{{0.5}, {0.5}, {0.5}}
 	cases := map[string][]byte{
 		"looping tree":          loopingTreeImage(t),
 		"feature past inputs":   wideFeatureImage(t),
@@ -199,6 +240,19 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 		"empty decision tree":   seal(t, bareTree),
 		"negative column":       column(-1),
 		"column past the space": column(telemetry.TotalCounters),
+		"short logistic":        shortLogisticImage(t),
+		"logistic, no scaler":   lowPowerImage(t, PointPredictor{M: &linear.Logistic{W: make([]float64, 3)}}),
+		"short svm scaler":      lowPowerImage(t, PointPredictor{M: &svm.Linear{W: make([]float64, 3), Scaler: unitScaler(2)}}),
+		"empty ensemble":        emptyEnsembleImage(t),
+		"short ensemble member": lowPowerImage(t, PointPredictor{M: &svm.Ensemble{Members: []*svm.Linear{svmLinear(3), svmLinear(2)}}}),
+		"srch, no buckets":      lowPowerImage(t, srch(0, edges, logistic(0))),
+		"srch, missing row":     lowPowerImage(t, srch(2, edges[:2], logistic(4))),
+		"srch, too many edges":  lowPowerImage(t, srch(2, [][]float64{{0.5}, {0.2, 0.7}, {0.5}}, logistic(6))),
+		"srch, short regressor": lowPowerImage(t, srch(2, edges, logistic(5))),
+		"srch, no regressor":    lowPowerImage(t, srch(2, edges, nil)),
+		// Three counters times this bucket count wraps int to 2, the
+		// regressor's width.
+		"srch, overflowing buckets": lowPowerImage(t, srch((1<<64+2)/3, [][]float64{nil, nil, nil}, logistic(2))),
 	}
 	for name, img := range cases {
 		for _, load := range []struct {
@@ -222,13 +276,28 @@ func TestLoadRejectsMalformedTrees(t *testing.T) {
 			t.Errorf("reordered tree scored %v on feature value %v, want %v", p, c.x, c.want)
 		}
 	}
+	for name, p := range map[string]Predictor{
+		"logistic":     PointPredictor{M: logistic(3)},
+		"svm-linear":   PointPredictor{M: svmLinear(3)},
+		"svm-ensemble": PointPredictor{M: &svm.Ensemble{Members: []*svm.Linear{svmLinear(3), svmLinear(3)}}},
+		"srch":         srch(2, edges, logistic(6)),
+	} {
+		g, err := LoadController(bytes.NewReader(lowPowerImage(t, p)))
+		if err != nil {
+			t.Errorf("well-formed %s rejected: %v", name, err)
+			continue
+		}
+		if s := g.LowPower.ScoreWindow([]float64{1, 0, 1}, [][]float64{{1, 0, 1}}); s != 0.5 {
+			t.Errorf("zero-weight %s scored %v, want 0.5", name, s)
+		}
+	}
 }
 
 // FuzzLoadController feeds arbitrary bytes to both load paths: each must
 // return a controller or an error, never panic. The committed seeds
 // (testdata/fuzz/FuzzLoadController) are a sealed image of
 // smallController, a truncated copy, the malformed-MLP image, and the
-// looping-tree and wide-feature images.
+// looping-tree, wide-feature, short-logistic and empty-ensemble images.
 func FuzzLoadController(f *testing.F) {
 	f.Fuzz(func(t *testing.T, img []byte) {
 		if g, err := LoadController(bytes.NewReader(img)); err == nil && g == nil {

@@ -50,11 +50,11 @@ func TestFirmwareImageRoundTripRF(t *testing.T) {
 	}
 
 	// Identical deployment behaviour end to end.
-	orig, err := Deploy(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm)
+	orig, err := DeployWithOptions(g, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	redeployed, err := Deploy(loaded, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm)
+	redeployed, err := DeployWithOptions(loaded, e.spec.Traces[0], e.specTel[0], e.cfg, e.pm, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"clustergate/internal/dataset"
-	"clustergate/internal/parallel"
 	"clustergate/internal/power"
 	"clustergate/internal/trace"
 )
@@ -13,10 +9,11 @@ import (
 // SimMode names the simulation path a SimOracle runs deployments on.
 type SimMode string
 
-// The three oracle modes: exact is today's cycle-level simulator
-// (byte-identical to calling Deploy directly), surrogate is the spliced-
-// replay fast path, and validate is the fast path plus seeded exact spot
-// checks that enforce an error budget.
+// The three oracle modes: exact is the cycle-level simulator
+// (byte-identical to calling DeployWithOptions directly), surrogate is
+// the spliced-replay fast path, and validate is the fast path plus seeded
+// exact spot checks that enforce an error budget. All three run the same
+// decision loop (DeployFrom); they differ only in its interval source.
 const (
 	SimExact     SimMode = "exact"
 	SimSurrogate SimMode = "surrogate"
@@ -54,54 +51,4 @@ func (ExactOracle) Deploy(g *GatingController, tr *trace.Trace, ref *dataset.Tra
 // cacheDir simulates without touching disk.
 func (ExactOracle) SimulateCorpus(c *trace.Corpus, cfg dataset.Config, cacheDir string) ([]*dataset.TraceTelemetry, error) {
 	return dataset.SimulateCorpusCached(c, cfg, cacheDir)
-}
-
-// EvaluateOnCorpusOracle is EvaluateOnCorpus with the per-trace
-// deployments routed through a SimOracle; with ExactOracle it is
-// byte-identical to EvaluateOnCorpus.
-func EvaluateOnCorpusOracle(oracle SimOracle, g *GatingController, corpus *trace.Corpus,
-	tel []*dataset.TraceTelemetry, cfg dataset.Config, pm *power.Model) (*Summary, error) {
-	if len(corpus.Traces) != len(tel) {
-		return nil, fmt.Errorf("core: %d traces but %d telemetry records", len(corpus.Traces), len(tel))
-	}
-	win := g.Window()
-	sum := &Summary{Controller: g.Name}
-	byBench := map[string]*BenchResult{}
-
-	runs, err := parallel.Map(cfg.Workers, len(corpus.Traces), func(i int) (*DeploymentResult, error) {
-		r, err := oracle.Deploy(g, corpus.Traces[i], tel[i], cfg, pm, DeployOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("core: deploying %s: %w", corpus.Traces[i].Name, err)
-		}
-		return &r.DeploymentResult, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for i, tr := range corpus.Traces {
-		r := runs[i]
-		sum.Overall.fold(r, win)
-		key := tr.App.Benchmark
-		if key == "" {
-			key = tr.App.Name
-		}
-		b := byBench[key]
-		if b == nil {
-			b = &BenchResult{Name: key}
-			byBench[key] = b
-		}
-		b.fold(r, win)
-	}
-
-	sum.Overall.Name = "overall"
-	sum.Overall.finish()
-	for _, b := range byBench {
-		b.finish()
-		sum.PerBenchmark = append(sum.PerBenchmark, b)
-	}
-	sort.Slice(sum.PerBenchmark, func(i, j int) bool {
-		return sum.PerBenchmark[i].Name < sum.PerBenchmark[j].Name
-	})
-	return sum, nil
 }

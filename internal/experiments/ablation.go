@@ -32,7 +32,7 @@ func Ablations(e *Env) ([]AblationRow, error) {
 	var out []AblationRow
 
 	record := func(label string, g *core.GatingController) error {
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			return fmt.Errorf("ablation %s: %w", label, err)
 		}

@@ -35,7 +35,7 @@ func Fig10Ablation(e *Env) ([]Fig10Step, error) {
 	var steps []Fig10Step
 
 	eval := func(label string, g *core.GatingController) error {
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			return fmt.Errorf("fig10 %s: %w", label, err)
 		}
@@ -136,7 +136,7 @@ func specOnlyLOO(e *Env, base core.TrainFunc) (Fig10Step, error) {
 		if len(sub.Traces) == 0 {
 			continue
 		}
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, sub, subTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), g, sub, subTel, e.Cfg, e.PM)
 		if err != nil {
 			return Fig10Step{}, err
 		}

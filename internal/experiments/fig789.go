@@ -120,7 +120,7 @@ func Fig8Evaluate(e *Env, gs []*core.GatingController) ([]Fig8Row, error) {
 	defer obs.Start("fig8.evaluate").End()
 	var out []Fig8Row
 	for _, g := range gs {
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", g.Name, err)
 		}

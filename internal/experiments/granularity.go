@@ -34,7 +34,7 @@ func GranularitySweep(e *Env) ([]GranularityPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("granularity %d: %w", g, err)
 		}
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), ctl, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), ctl, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			return nil, err
 		}

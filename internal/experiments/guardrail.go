@@ -29,7 +29,7 @@ func GuardrailStudy(e *Env, g *core.GatingController) (*GuardrailResult, error) 
 	defer obs.Start("guardrail.study").End()
 	res := &GuardrailResult{Model: g.Name, BareWorst: 1, GuardedWorst: 1}
 
-	bare, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+	bare, err := core.EvaluateOnCorpus(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 	if err != nil {
 		return nil, err
 	}

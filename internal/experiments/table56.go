@@ -34,7 +34,7 @@ func Table5SLARetune(e *Env) ([]Table5Row, error) {
 		if err != nil {
 			return Table5Row{}, fmt.Errorf("table5 P_SLA=%.2f: %w", psla, err)
 		}
-		sum, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
+		sum, err := core.EvaluateOnCorpus(e.SimOracle(), g, e.SPEC, e.SPECTel, e.Cfg, e.PM)
 		if err != nil {
 			return Table5Row{}, err
 		}
@@ -144,11 +144,11 @@ func Table6AppSpecific(e *Env, general *core.GatingController, generalSum *core.
 			if len(sub.Traces) == 0 {
 				continue
 			}
-			spec, err := core.EvaluateOnCorpusOracle(e.SimOracle(), g, sub, subTel, e.Cfg, e.PM)
+			spec, err := core.EvaluateOnCorpus(e.SimOracle(), g, sub, subTel, e.Cfg, e.PM)
 			if err != nil {
 				return nil, err
 			}
-			gen, err := core.EvaluateOnCorpusOracle(e.SimOracle(), general, sub, subTel, e.Cfg, e.PM)
+			gen, err := core.EvaluateOnCorpus(e.SimOracle(), general, sub, subTel, e.Cfg, e.PM)
 			if err != nil {
 				return nil, err
 			}

@@ -19,6 +19,18 @@ type Logistic struct {
 	Scaler *ml.Scaler
 }
 
+// CheckShape reports an error unless the model can score every input of
+// the given width: it has a scaler, and its weights and the scaler's mean
+// and standard deviation each have one entry per input. A model decoded
+// from untrusted bytes that fails it would index out of range at
+// inference.
+func (l *Logistic) CheckShape(inputs int) error {
+	if l.Scaler == nil || len(l.W) != inputs || len(l.Scaler.Mean) != inputs || len(l.Scaler.Std) != inputs {
+		return fmt.Errorf("logistic: weights and scaler do not cover %d inputs", inputs)
+	}
+	return nil
+}
+
 // Score returns the positive-class probability.
 func (l *Logistic) Score(x []float64) float64 {
 	z := l.B

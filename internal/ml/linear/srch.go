@@ -62,6 +62,37 @@ func (s *SRCH) Score(x []float64) float64 {
 	return s.LR.Score(s.Featurize([][]float64{x}))
 }
 
+// CheckShape reports an error unless the model can score every window of
+// samples of the given width: at least one bucket, one edge row per
+// input with at most Buckets-1 interior edges, and a regression layer
+// that passes Logistic.CheckShape over the histogram features. A model
+// decoded from untrusted bytes that fails it would index out of range at
+// inference.
+func (s *SRCH) CheckShape(inputs int) error {
+	if s.Buckets < 1 {
+		return fmt.Errorf("srch: %d buckets", s.Buckets)
+	}
+	if len(s.Edges) != inputs {
+		return fmt.Errorf("srch: %d edge rows for %d inputs", len(s.Edges), inputs)
+	}
+	for c, e := range s.Edges {
+		if len(e) > s.Buckets-1 {
+			return fmt.Errorf("srch: counter %d has %d edges for %d buckets", c, len(e), s.Buckets)
+		}
+	}
+	// Divide rather than multiply: a decoded bucket count may overflow int.
+	if inputs > 0 && s.Buckets > math.MaxInt/inputs {
+		return fmt.Errorf("srch: %d buckets for %d inputs overflow", s.Buckets, inputs)
+	}
+	if s.LR == nil {
+		return fmt.Errorf("srch: no regression layer")
+	}
+	if err := s.LR.CheckShape(inputs * s.Buckets); err != nil {
+		return fmt.Errorf("srch: %w", err)
+	}
+	return nil
+}
+
 // ScoreWindow scores a window of consecutive samples.
 func (s *SRCH) ScoreWindow(window [][]float64) float64 {
 	return s.LR.Score(s.Featurize(window))

@@ -20,6 +20,18 @@ type Linear struct {
 	Scaler *ml.Scaler
 }
 
+// CheckShape reports an error unless the model can score every input of
+// the given width: it has a scaler, and its weights and the scaler's mean
+// and standard deviation each have one entry per input. A model decoded
+// from untrusted bytes that fails it would index out of range at
+// inference.
+func (l *Linear) CheckShape(inputs int) error {
+	if l.Scaler == nil || len(l.W) != inputs || len(l.Scaler.Mean) != inputs || len(l.Scaler.Std) != inputs {
+		return fmt.Errorf("svm: weights and scaler do not cover %d inputs", inputs)
+	}
+	return nil
+}
+
 // Score returns a calibrated confidence in [0,1].
 func (l *Linear) Score(x []float64) float64 {
 	xs := l.Scaler.Apply(x, nil)
@@ -111,6 +123,24 @@ func TrainEnsemble(k int, cfg LinearConfig, tune *ml.Dataset) (*Ensemble, error)
 		e.Members = append(e.Members, member)
 	}
 	return e, nil
+}
+
+// CheckShape reports an error unless the ensemble has at least one member
+// and every member passes Linear.CheckShape for the input width; an empty
+// ensemble would score NaN.
+func (e *Ensemble) CheckShape(inputs int) error {
+	if len(e.Members) == 0 {
+		return fmt.Errorf("svm: ensemble has no members")
+	}
+	for i, m := range e.Members {
+		if m == nil {
+			return fmt.Errorf("svm: ensemble member %d is missing", i)
+		}
+		if err := m.CheckShape(inputs); err != nil {
+			return fmt.Errorf("member %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Score averages member confidences.

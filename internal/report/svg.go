@@ -4,6 +4,7 @@
 package report
 
 import (
+	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -137,9 +138,12 @@ func (c *ScatterChart) WriteSVG(w io.Writer) error {
 	return err
 }
 
+// escape returns s as XML character data. Characters XML 1.0 forbids
+// become U+FFFD, so any label yields a well-formed document.
 func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	var b strings.Builder
+	xml.EscapeText(&b, []byte(s)) // a strings.Builder never fails
+	return b.String()
 }
 
 func minf(a, b float64) float64 {

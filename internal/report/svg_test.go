@@ -8,8 +8,8 @@ import (
 func TestBarChartSVG(t *testing.T) {
 	c := &BarChart{
 		Title:   "Figure 7: ideal residency",
-		Labels:  []string{"bwaves", "x264 <&>"},
-		Values:  []float64{0.86, 0.09},
+		Labels:  []string{"bwaves", "x264 <&>", "ctl\x01\uFFFE"},
+		Values:  []float64{0.86, 0.09, 0.5},
 		Percent: true,
 	}
 	var sb strings.Builder
@@ -17,7 +17,10 @@ func TestBarChartSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"<svg", "</svg>", "bwaves", "86.0%", "x264 &lt;&amp;&gt;"} {
+	if err := wellFormed([]byte(out)); err != nil {
+		t.Errorf("malformed SVG: %v", err)
+	}
+	for _, want := range []string{"<svg", "</svg>", "bwaves", "86.0%", "x264 &lt;&amp;&gt;", "ctl\uFFFD\uFFFD"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("SVG missing %q", want)
 		}

@@ -73,3 +73,33 @@ func stallFor(base []float64) float64 {
 	}
 	return 0
 }
+
+// steadySinceSwitch is the since-switch count of an interval past any
+// mode-switch transient, including the warmed-up high-performance state
+// every deployment and training run starts in.
+const steadySinceSwitch = 1 << 20
+
+// switchClock counts intervals since the last mode switch, the context
+// Splice and Features take as sinceSwitch.
+type switchClock struct {
+	mode  uarch.Mode
+	since int
+}
+
+// newSwitchClock returns a clock in the steady high-performance state.
+func newSwitchClock() switchClock {
+	return switchClock{mode: uarch.ModeHighPerf, since: steadySinceSwitch}
+}
+
+// next returns the since-switch count of the next interval, run in mode
+// m: 0 for the first interval after a switch.
+func (c *switchClock) next(m uarch.Mode) int {
+	if m != c.mode {
+		c.mode, c.since = m, 0
+	}
+	s := c.since
+	if c.since < steadySinceSwitch {
+		c.since++
+	}
+	return s
+}

@@ -64,30 +64,37 @@ func (m *Model) Residual(f []float64) float64 {
 }
 
 // Replay runs one closed-loop deployment on the surrogate fast path,
-// regardless of oracle mode: spliced recorded intervals corrected by the
-// model's residual, driven through core.ReplayDeploy. The caller is
+// regardless of oracle mode: core.DeployFrom's decision loop over spliced
+// recorded intervals corrected by the model's residual. The caller is
 // responsible for fingerprint checks (Oracle.Deploy does both).
 func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts core.DeployOptions) (*core.GuardedDeploymentResult, error) {
 	if m != nil && m.FeatureVersion != FeatureVersion {
 		return nil, fmt.Errorf("surrogate: model feature schema v%d, package is v%d", m.FeatureVersion, FeatureVersion)
 	}
-	tm := &traceModel{m: m, ref: ref, core: cfg.Core}
-	return core.ReplayDeploy(g, tr, ref, cfg, pm, opts, tm)
+	return core.DeployFrom(g, tr, ref, pm, opts, func() core.IntervalSource {
+		return &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock()}
+	})
 }
 
-// traceModel adapts one trace's recorded fixed-mode telemetry plus the
-// trained residual to core.IntervalModel.
+// traceModel is the surrogate's core.IntervalSource for one deployment:
+// the trace's recorded fixed-mode telemetry plus the trained residual.
 type traceModel struct {
-	m    *Model
-	ref  *dataset.TraceTelemetry
-	core uarch.Config
+	m     *Model
+	ref   *dataset.TraceTelemetry
+	core  uarch.Config
+	clock switchClock
 }
 
-// IntervalBase returns the surrogate's estimate of the exact simulator's
+// NextInterval returns the surrogate's estimate of the exact simulator's
 // interval delta: the recorded steady-state vector for the mode, spliced
-// analytically, then cycle-corrected by the residual model.
-func (t *traceModel) IntervalBase(gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
+// analytically, then cycle-corrected by the residual model. The
+// recordings hold only full intervals, so it returns nil past their end.
+func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
+	if gidx >= t.ref.Intervals() {
+		return nil
+	}
+	sinceSwitch := t.clock.next(mode)
 	recs, other := t.ref.HighPerf, t.ref.LowPower
 	if mode == uarch.ModeLowPower {
 		recs, other = t.ref.LowPower, t.ref.HighPerf

@@ -3,9 +3,11 @@
 // from recorded fixed-mode telemetry (issue-width floor, mode-switch
 // microcode cost, DRAM-derate miss-latency bound) plus an ML residual
 // trained on exact-simulator intervals via internal/ml (regression forest
-// and ridge backends). Deployments replay through core.ReplayDeploy at
-// interval granularity instead of executing instructions, which makes the
-// screening inner loops one to two orders of magnitude faster.
+// and ridge backends). The model is one more core.IntervalSource:
+// deployments run core.DeployFrom's decision loop at interval granularity
+// on its estimates instead of executing instructions, which makes the
+// screening inner loops one to two orders of magnitude faster, and they
+// record the same counters, flight samples and events as exact ones.
 //
 // The package exposes the three simulation modes behind core.SimOracle:
 // exact (delegation to the cycle model, byte-identical), surrogate (the

@@ -1,10 +1,12 @@
 package surrogate
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustergate/internal/core"
@@ -12,6 +14,8 @@ import (
 	"clustergate/internal/fault"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/linear"
+	"clustergate/internal/obs"
+	"clustergate/internal/parallel"
 	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
@@ -105,27 +109,56 @@ func trainTestModel(t *testing.T, c *trace.Corpus, tel []*dataset.TraceTelemetry
 	return m
 }
 
-// TestReplayMatchesExactWithoutSwitches locks the transliteration: with a
-// never-gating controller, no faults, and a pure-analytic model the
-// spliced replay IS the recordings, so every field of the result must
-// equal the exact simulator's.
+// TestReplayMatchesExactWithoutSwitches is the pass-through differential
+// test: with a never-gating controller and a pure-analytic model the
+// spliced intervals ARE the recordings, so under telemetry drop and glitch
+// plans, with the guardrail on and off, every field of the result must
+// equal the exact simulator's, fault and guardrail accounting included.
 func TestReplayMatchesExactWithoutSwitches(t *testing.T) {
 	c, tel, cfg := testCorpus(t)
 	g := testController(t, cfg, constScorer{v: 0})
 	pm := power.DefaultModel()
 	pure := &Model{FeatureVersion: FeatureVersion, Fingerprint: Fingerprint(cfg)}
-	for i, tr := range c.Traces {
-		exact, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, core.DeployOptions{})
-		if err != nil {
-			t.Fatal(err)
+	plans := []fault.Plan{{}}
+	for _, seed := range []int64{3, 17} {
+		plans = append(plans, fault.Plan{Seed: seed, Rules: []fault.Rule{
+			{Class: fault.TelemetryDrop, Rate: 0.1, Burst: 3},
+			{Class: fault.CounterGlitch, Rate: 0.1, Burst: 3},
+		}})
+	}
+	gr := core.DefaultGuardrail()
+	var injected int64
+	var trips int
+	for _, guard := range []*core.Guardrail{nil, &gr} {
+		for p, plan := range plans {
+			opts := core.DeployOptions{Guardrail: guard}
+			if len(plan.Rules) > 0 {
+				inj, err := fault.NewInjector(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Injector = inj
+			}
+			for i, tr := range c.Traces {
+				exact, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := pure.Replay(g, tr, tel[i], cfg, pm, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(exact, rep) {
+					t.Fatalf("guardrail %v plan %d %s: replay diverged from exact without switches:\nexact  %+v\nreplay %+v",
+						guard != nil, p, tr.Name, exact, rep)
+				}
+				injected += exact.InjectedFaults
+				trips += exact.GuardrailTrips
+			}
 		}
-		rep, err := pure.Replay(g, tr, tel[i], cfg, pm, core.DeployOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exact, rep) {
-			t.Fatalf("%s: replay diverged from exact without switches:\nexact  %+v\nreplay %+v", tr.Name, exact, rep)
-		}
+	}
+	if injected == 0 || trips == 0 {
+		t.Errorf("%d injected faults, %d guardrail trips: the table must exercise both", injected, trips)
 	}
 }
 
@@ -169,13 +202,13 @@ func TestSurrogateWorkerDeterminism(t *testing.T) {
 	o := NewOracle(trainTestModel(t, c, tel, cfg), core.SimSurrogate, OracleOptions{})
 	cfg1 := cfg
 	cfg1.Workers = 1
-	s1, err := core.EvaluateOnCorpusOracle(o, g, c, tel, cfg1, pm)
+	s1, err := core.EvaluateOnCorpus(o, g, c, tel, cfg1, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg4 := cfg
 	cfg4.Workers = 4
-	s4, err := core.EvaluateOnCorpusOracle(o, g, c, tel, cfg4, pm)
+	s4, err := core.EvaluateOnCorpus(o, g, c, tel, cfg4, pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +283,10 @@ func TestFallbackOnFingerprintMismatch(t *testing.T) {
 
 // TestReplayUnderFaults drives replay and exact through the same fault
 // plan and checks the injection accounting lines up: the fault schedule is
-// clocked by the interval index, which replay preserves.
+// clocked by the interval index, which replay preserves. With an event log
+// installed, replays record their guardrail trips and fault injections
+// under deploy/<trace>, return the results they return without one, and
+// render the same log over 1 worker and over 4.
 func TestReplayUnderFaults(t *testing.T) {
 	c, tel, cfg := testCorpus(t)
 	g := testController(t, cfg, waveScorer{})
@@ -265,6 +301,7 @@ func TestReplayUnderFaults(t *testing.T) {
 	}
 	gr := core.DefaultGuardrail()
 	opts := core.DeployOptions{Guardrail: &gr, Injector: inj}
+	unlogged := make([]*core.GuardedDeploymentResult, len(c.Traces))
 	for i, tr := range c.Traces {
 		exact, err := core.DeployWithOptions(g, tr, tel[i], cfg, pm, opts)
 		if err != nil {
@@ -277,6 +314,43 @@ func TestReplayUnderFaults(t *testing.T) {
 		if rep.InjectedFaults == 0 && exact.InjectedFaults > 0 {
 			t.Errorf("%s: replay saw no faults, exact saw %d", tr.Name, exact.InjectedFaults)
 		}
+		unlogged[i] = rep
+	}
+
+	defer obs.SetEventLog(nil)
+	var rendered [][]byte
+	for _, workers := range []int{1, 4} {
+		log := obs.NewEventLog()
+		obs.SetEventLog(log)
+		logged, err := parallel.Map(workers, len(c.Traces), func(i int) (*core.GuardedDeploymentResult, error) {
+			return m.Replay(g, c.Traces[i], tel[i], cfg, pm, opts)
+		})
+		obs.SetEventLog(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(logged, unlogged) {
+			t.Fatalf("%d workers: replays with an event log differ from replays without one", workers)
+		}
+		kinds := map[string]bool{}
+		for _, ev := range log.Events() {
+			if strings.HasPrefix(ev.Scope, "deploy/") {
+				kinds[ev.Kind] = true
+			}
+		}
+		for _, kind := range []string{"guardrail.trip", "fault.injected"} {
+			if !kinds[kind] {
+				t.Errorf("%d workers: no %s event under deploy/<trace>", workers, kind)
+			}
+		}
+		var buf bytes.Buffer
+		if err := log.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rendered = append(rendered, buf.Bytes())
+	}
+	if !bytes.Equal(rendered[0], rendered[1]) {
+		t.Error("replay event log differs between 1 and 4 workers")
 	}
 }
 
@@ -300,7 +374,7 @@ func TestGoldenFeatures(t *testing.T) {
 	}{
 		FeatureVersion: FeatureVersion,
 		Names:          FeatureNames,
-		Steady:         Features(base, false, core.SteadySinceSwitch, 0.8, 1),
+		Steady:         Features(base, false, steadySinceSwitch, 0.8, 1),
 		Transient:      Features(base, true, 0, 1.25, 4),
 	}
 	const path = "testdata/features_golden.json"
@@ -363,11 +437,11 @@ func TestSpliceSwitchCost(t *testing.T) {
 	if low[idxStall] != low[idxCycles]-low[idxBusy] {
 		t.Error("stall count not re-derived")
 	}
-	steady := Splice(rec, uarch.ModeLowPower, 1, core.SteadySinceSwitch, cfg)
+	steady := Splice(rec, uarch.ModeLowPower, 1, steadySinceSwitch, cfg)
 	if steady[idxCycles] != rec[idxCycles] {
 		t.Error("steady-state splice should not patch cycles")
 	}
-	derated := Splice(rec, uarch.ModeHighPerf, 4, core.SteadySinceSwitch, cfg)
+	derated := Splice(rec, uarch.ModeHighPerf, 4, steadySinceSwitch, cfg)
 	if derated[idxCycles] <= rec[idxCycles] {
 		t.Error("derate splice should add fill-gap cycles")
 	}

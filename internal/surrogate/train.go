@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"clustergate/internal/core"
 	"clustergate/internal/dataset"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/forest"
@@ -191,7 +190,7 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 	run := uarch.NewRunner(cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), cfg.Warmup, cfg.Interval)
 
 	mode := uarch.ModeHighPerf
-	sinceSwitch := core.SteadySinceSwitch
+	clock := newSwitchClock()
 	out := make([]sample, 0, nInt)
 	for gidx := 0; gidx < nInt; gidx++ {
 		if gidx > 0 && gidx%opt.SwitchPeriod == 0 {
@@ -201,8 +200,8 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 				mode = uarch.ModeHighPerf
 			}
 			run.SetMode(mode)
-			sinceSwitch = 0
 		}
+		sinceSwitch := clock.next(mode)
 		derate := forcedDerate(opt.Seed, tr.Seed, gidx)
 		run.SetMemDerate(derate)
 
@@ -227,9 +226,6 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 			f: featuresFor(recs[gidx], other[gidx], mode, derate, sinceSwitch),
 			y: y,
 		})
-		if sinceSwitch < core.SteadySinceSwitch {
-			sinceSwitch++
-		}
 	}
 	return out, nil
 }

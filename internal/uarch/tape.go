@@ -315,9 +315,6 @@ func (r *Runner) Next() (Events, int) {
 	return d, n
 }
 
-// Mode returns the core's active cluster configuration.
-func (r *Runner) Mode() Mode { return r.c.Mode() }
-
 // SetMode switches the core's cluster configuration (see Core.SetMode).
 func (r *Runner) SetMode(m Mode) { r.c.SetMode(m) }
 

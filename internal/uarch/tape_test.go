@@ -245,10 +245,12 @@ func TestTapeRunnerMatchesLiveRunner(t *testing.T) {
 	}{{"full-low-power", ModeLowPower, 0}, {"warm-high-perf", ModeHighPerf, warmup}} {
 		live := NewRunner(cfg, tc.mode, trace.NewStream(tr), warmup, interval)
 		rep := RecordTape(cfg, trace.NewStream(tr), tc.tapeWarmup).Runner(tc.mode, warmup, interval)
+		mode := tc.mode
 		for i := 0; ; i++ {
 			if i%3 == 2 {
-				live.SetMode(1 - live.Mode())
-				rep.SetMode(1 - rep.Mode())
+				mode = 1 - mode
+				live.SetMode(mode)
+				rep.SetMode(mode)
 			}
 			f := float64(1 + i%4)
 			live.SetMemDerate(f)

@@ -30,10 +30,13 @@ echo "== go test -race (worker pool + observability + robustness packages)"
 # internal/telemetry is in the list because its standard counter-set
 # template is shared by every goroutine that decodes a firmware image;
 # internal/uarch because a trace's deployment tape is recorded once and
-# replayed by every concurrent deployment of that trace.
+# replayed by every concurrent deployment of that trace; internal/surrogate
+# because its concurrent deployments share the event log and the
+# deployment counters with exact ones.
 go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
-    ./internal/ctrlplane/... ./internal/telemetry/... ./internal/uarch/... ./cmd/obsdiff/...
+    ./internal/ctrlplane/... ./internal/telemetry/... ./internal/uarch/... ./internal/surrogate/... \
+    ./cmd/obsdiff/...
 
 echo "== fuzz firmware-image loading (FuzzLoadController, 10s)"
 # Both load paths must return a controller or an error for any bytes; the
