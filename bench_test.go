@@ -356,6 +356,63 @@ func BenchmarkUarchExecuteDerated(b *testing.B) {
 	benchmarkUarchExecute(b, uarchMemBoundApp(), uarch.ModeHighPerf, 6)
 }
 
+// replayTapes keeps each replay benchmark's tape for the life of the
+// process. A collected tape runs a finalizer, and the runtime allocates on
+// its first finalizer call, which would land in a timed region.
+var replayTapes = map[string]*uarch.Tape{}
+
+// benchmarkUarchReplay measures steady-state tape replay, the cycle-model
+// work an exact deployment does for every interval it simulates: a
+// runner replays a recorded window interval by interval. The tape and
+// each iteration's runner, primed by replaying one interval, are built
+// outside the timed region. Instructions/sec and ns/instr come from the
+// uarch.instructions counter, as for the Execute benchmarks.
+func benchmarkUarchReplay(b *testing.B, app *trace.Application, derate float64) {
+	const window, interval = 100_000, 10_000
+	tape := replayTapes[app.Name]
+	if tape == nil {
+		tape = uarch.RecordTape(uarch.DefaultConfig(),
+			trace.NewStream(&trace.Trace{App: app, Seed: 1, NumInstrs: interval + window}), 0)
+		replayTapes[app.Name] = tape
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instrs int64
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := tape.Runner(uarch.ModeHighPerf, 0, interval)
+		if derate > 1 {
+			r.SetMemDerate(derate)
+		}
+		r.Next()
+		before := obs.CounterValue("uarch.instructions")
+		b.StartTimer()
+		start := time.Now()
+		for {
+			if _, n := r.Next(); n == 0 {
+				break
+			}
+		}
+		elapsed += time.Since(start)
+		instrs += obs.CounterValue("uarch.instructions") - before
+	}
+	b.ReportMetric(float64(instrs)/elapsed.Seconds(), "instrs/s")
+	b.ReportMetric(elapsed.Seconds()*1e9/float64(instrs), "ns/instr")
+}
+
+// BenchmarkUarchReplayHighPerf replays the mixed-phase archetype's tape in
+// the dual-cluster mode.
+func BenchmarkUarchReplayHighPerf(b *testing.B) {
+	benchmarkUarchReplay(b, uarchBenchApp(), 0)
+}
+
+// BenchmarkUarchReplayDerated replays the memory-bound tape under a DRAM
+// derate, the fault-injection configuration of the fault studies.
+func BenchmarkUarchReplayDerated(b *testing.B) {
+	benchmarkUarchReplay(b, uarchMemBoundApp(), 6)
+}
+
 // BenchmarkSimulateCorpusParallel measures the simulation worker pool's
 // speedup: one -workers=1 pass establishes the serial baseline, the timed
 // loop simulates the same corpus on every core, and the ratio lands in

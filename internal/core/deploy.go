@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"clustergate/internal/dataset"
 	"clustergate/internal/fault"
@@ -38,81 +39,99 @@ var (
 // order. Given the global interval index, the mode in effect and the DRAM
 // derate factor for the interval, NextInterval returns the interval's
 // base-signal vector (the telemetry.ExtractBase layout), or nil once the
-// trace runs dry. The exact source executes the interval on the cycle
-// model; the surrogate package estimates it from the trace's recorded
-// fixed-mode telemetry. Implementations must be deterministic, and the
-// deployment owns each returned slice.
+// trace runs dry. The exact source reads the interval from its trace's
+// deployment trie or executes it on the cycle model; the surrogate package
+// estimates it from the trace's recorded fixed-mode telemetry.
+// Implementations must be deterministic, and the deployment owns each
+// returned slice.
 type IntervalSource interface {
 	NextInterval(gidx int, mode uarch.Mode, derate float64) []float64
-}
-
-// runnerSource is the exact interval source: a cycle-model runner stepping
-// through the trace.
-type runnerSource struct{ r *uarch.Runner }
-
-// NextInterval executes the next interval in mode under derate.
-func (s runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
-	s.r.SetMode(mode)
-	s.r.SetMemDerate(derate)
-	delta, n := s.r.Next()
-	if n == 0 {
-		return nil
-	}
-	return telemetry.ExtractBase(delta)
 }
 
 // DeployWithOptions runs the controller closed-loop over one trace on the
 // exact cycle model (see DeployFrom). The cycle model replays the trace's
 // deployment tape (deployTape), so only the first deployment of a trace
-// generates and probes it; results are identical to executing the trace
-// live.
+// generates and probes it, and the tape's trie of deployed intervals
+// (deployTrie) serves every schedule prefix an earlier deployment of the
+// same length already simulated; results are identical to executing the
+// trace live.
 func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
+	var src *trieSource
+	defer func() {
+		if src != nil {
+			src.close()
+		}
+	}()
 	return DeployFrom(g, tr, ref, pm, opts, func() IntervalSource {
-		return runnerSource{deployTape(tr, cfg).Runner(uarch.ModeHighPerf, cfg.Warmup, g.Interval)}
+		k := g.Granularity / g.Interval
+		src = deployTape(tr, cfg).trie(g.Interval, ref.Intervals()/k*k).source()
+		return src
 	})
 }
 
 // recordedTape is a trace's deployment tape together with what it was
-// recorded for: the core and the high-performance warmup its snapshot
-// follows.
+// recorded for — the core and the high-performance warmup its snapshot
+// follows — and the deployment tries over it.
 type recordedTape struct {
 	core   uarch.Config
 	warmup int
 	tape   *uarch.Tape
+
+	mu    sync.Mutex
+	tries map[[2]int]*deployTrie // by interval size and deployment length
+}
+
+// trie returns the tape's trie for deployments of length intervals of
+// interval instructions each, creating it on first use.
+func (r *recordedTape) trie(interval, length int) *deployTrie {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key := [2]int{interval, length}
+	t := r.tries[key]
+	if t == nil {
+		t = newDeployTrie(r, interval)
+		r.tries[key] = t
+	}
+	return t
 }
 
 // tapeFlight makes concurrent first deployments of a trace share one
 // recording. It remembers nothing once a recording completes: the tape
 // itself is held by the trace.
-var tapeFlight parallel.Group[*uarch.Tape]
+var tapeFlight parallel.Group[*recordedTape]
 
 // deployTape returns tr's deployment tape for cfg, recording it on first
 // use: the trace's front end for cfg.Core, warm after cfg.Warmup
 // instructions in high-performance mode, as every deployment starts. The
 // tape hangs off the trace (Trace.SetTape) and is freed with it; a
-// deployment under another core or warmup records over it.
-func deployTape(tr *trace.Trace, cfg dataset.Config) *uarch.Tape {
-	held := func() *uarch.Tape {
+// deployment under another core or warmup records over it, dropping its
+// tries.
+func deployTape(tr *trace.Trace, cfg dataset.Config) *recordedTape {
+	held := func() *recordedTape {
 		if r, ok := tr.Tape().(*recordedTape); ok && r.core == cfg.Core && r.warmup == cfg.Warmup {
-			return r.tape
+			return r
 		}
 		return nil
 	}
-	if t := held(); t != nil {
-		return t
+	if r := held(); r != nil {
+		return r
 	}
-	t, _, _ := tapeFlight.Do(fmt.Sprintf("%p/%d/%v", tr, cfg.Warmup, cfg.Core), func() (*uarch.Tape, error) {
+	r, _, _ := tapeFlight.Do(fmt.Sprintf("%p/%d/%v", tr, cfg.Warmup, cfg.Core), func() (*recordedTape, error) {
 		// A deployment that missed the lookup above while another one
 		// finished recording finds the tape here.
-		if t := held(); t != nil {
-			return t, nil
+		if r := held(); r != nil {
+			return r, nil
 		}
-		t := uarch.RecordTape(cfg.Core, trace.NewStream(tr), cfg.Warmup)
-		tr.SetTape(&recordedTape{core: cfg.Core, warmup: cfg.Warmup, tape: t})
-		return t, nil
+		r := &recordedTape{
+			core: cfg.Core, warmup: cfg.Warmup,
+			tape:  uarch.RecordTape(cfg.Core, trace.NewStream(tr), cfg.Warmup),
+			tries: map[[2]int]*deployTrie{},
+		}
+		tr.SetTape(r)
+		return r, nil
 	})
-	return t
+	return r
 }
 
 // DeployFrom is the closed-loop deployment engine, the one decision loop

@@ -40,8 +40,16 @@ type deploySuite struct {
 
 func newDeploySuite(t *testing.T, seed int64) *deploySuite {
 	t.Helper()
+	return newDeploySuiteOf(t, seed, dataset.DefaultConfig().Interval)
+}
+
+// newDeploySuiteOf builds a deployment suite whose recordings and
+// controllers step interval instructions at a time.
+func newDeploySuiteOf(t *testing.T, seed int64, interval int) *deploySuite {
+	t.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.Warmup = 20_000
+	cfg.Interval = interval
 	spec := trace.BuildSPEC(trace.SPECConfig{TracesPerWorkload: 1, InstrsPerTrace: 150_000, Seed: seed})
 	s := &deploySuite{cfg: cfg, pm: power.DefaultModel()}
 	seen := map[string]bool{}
@@ -73,14 +81,47 @@ func newDeploySuite(t *testing.T, seed int64) *deploySuite {
 	return s
 }
 
+// step is one interval's (mode, DRAM derate) as the cycle model saw it.
+type step struct {
+	mode   uarch.Mode
+	derate float64
+}
+
+// runnerSource is an interval source that steps a cycle-model runner
+// through the trace, the reference the deployment trie is held to, and
+// records the step of every interval it returns.
+type runnerSource struct {
+	r     *uarch.Runner
+	steps []step
+}
+
+// NextInterval executes the next interval in mode under derate.
+func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
+	s.r.SetMode(mode)
+	s.r.SetMemDerate(derate)
+	delta, n := s.r.Next()
+	if n == 0 {
+		return nil
+	}
+	s.steps = append(s.steps, step{mode, derate})
+	return telemetry.ExtractBase(delta)
+}
+
 // liveDeploy deploys through the same decision loop over a live runner,
-// which generates and probes the trace as it goes: the path the tape
-// replaces.
+// which generates and probes the trace as it goes: the path the tape and
+// the deployment trie replace.
 func (s *deploySuite) liveDeploy(g *GatingController, i int, opts DeployOptions) (*GuardedDeploymentResult, error) {
+	res, _, err := s.liveSchedule(g, i, opts)
+	return res, err
+}
+
+// liveSchedule deploys live, like liveDeploy, and also returns the
+// deployment's schedule.
+func (s *deploySuite) liveSchedule(g *GatingController, i int, opts DeployOptions) (*GuardedDeploymentResult, []step, error) {
 	tr := s.traces[i]
-	return DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
-		return runnerSource{uarch.NewRunner(s.cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), s.cfg.Warmup, g.Interval)}
-	})
+	src := &runnerSource{r: uarch.NewRunner(s.cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), s.cfg.Warmup, g.Interval)}
+	res, err := DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource { return src })
+	return res, src.steps, err
 }
 
 // TestDeployTapeMatchesLive is the deployment-level differential test:

@@ -258,9 +258,9 @@ func (s *Service) snapshot() {
 }
 
 // restore resumes from an existing checkpoint file, if one matches this
-// campaign's fingerprint; a missing, unreadable-as-JSON, or mismatched
-// checkpoint leaves the fresh state untouched. Called from New before the
-// ingest consumers start.
+// campaign's fingerprint; a missing, unreadable-as-JSON, mismatched or
+// out-of-range checkpoint leaves the fresh state untouched. Called from
+// New before the ingest consumers start.
 func (s *Service) restore() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
@@ -279,6 +279,9 @@ func (s *Service) restore() error {
 	if snap.Fingerprint != s.fingerprint() ||
 		len(snap.Rings) != len(s.rings) || len(snap.Machines) != len(s.machines) {
 		return nil // different campaign: start fresh
+	}
+	if !s.inRange(&snap) {
+		return nil // indices this campaign cannot hold: start fresh
 	}
 
 	s.tick = snap.Tick
@@ -351,6 +354,33 @@ func (s *Service) restore() error {
 	}
 	s.recomputeProfiles()
 	return nil
+}
+
+// inRange reports whether every index and enumeration in a fingerprint-
+// matching snapshot fits this campaign, so that restoring it cannot index
+// out of range here or later in the ingest fold.
+func (s *Service) inRange(snap *campaignSnap) bool {
+	rings, machines := len(s.rings), len(s.machines)
+	if len(snap.RingAccums) != rings || snap.HaltRing < -1 || snap.HaltRing >= rings {
+		return false
+	}
+	for i, rs := range snap.Rings {
+		if rs.State < int(ringPending) || rs.State > int(ringPromoted) ||
+			rs.FlashedUpTo < 0 || rs.FlashedUpTo > len(s.rings[i].machines) {
+			return false
+		}
+	}
+	for _, hs := range snap.Health {
+		if hs.Machine < 0 || hs.Machine >= machines {
+			return false
+		}
+	}
+	for _, is := range snap.Future {
+		if is.Machine < 0 || is.Machine >= machines || is.Ring < 0 || is.Ring >= rings {
+			return false
+		}
+	}
+	return true
 }
 
 // recomputeProfiles rebuilds every flashed machine's soak profile by

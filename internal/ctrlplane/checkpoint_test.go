@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -159,6 +160,71 @@ func TestCheckpointMismatchStartsFresh(t *testing.T) {
 		t.Errorf("corrupt checkpoint resumed at tick %d", s3.tick)
 	}
 	s3.Close()
+}
+
+// TestCheckpointOutOfRangeStartsFresh: a checkpoint that matches the
+// campaign's fingerprint but holds indices the campaign cannot hold is
+// ignored like a mismatched one — the campaign starts fresh and runs
+// without panicking, in New or later in the ingest fold.
+func TestCheckpointOutOfRangeStartsFresh(t *testing.T) {
+	wl := testWorkload(t)
+	img := testController(t, wl.Cfg, -4, "cp-good")
+	cfg := churnConfig(200)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+	s, err := New(cfg, img, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		s.Tick()
+	}
+	s.Close()
+	if s.ckptErr != nil {
+		t.Fatal(s.ckptErr)
+	}
+	good, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*campaignSnap)
+	}{
+		{"extra ring accumulator", func(c *campaignSnap) { c.RingAccums = append(c.RingAccums, accumSnap{}) }},
+		{"negative health machine", func(c *campaignSnap) { c.Health[0].Machine = -3 }},
+		{"negative future machine", func(c *campaignSnap) { c.Future[0].Machine = -3 }},
+		{"future ring out of range", func(c *campaignSnap) { c.Future[0].Ring = 99 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap campaignSnap
+			if err := json.Unmarshal(good, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Health) == 0 || len(snap.Future) == 0 {
+				t.Fatalf("checkpoint holds %d health records and %d future intervals; the edits need both",
+					len(snap.Health), len(snap.Future))
+			}
+			tc.edit(&snap)
+			data, err := json.Marshal(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(cfg, img, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.tick != 0 {
+				t.Fatalf("out-of-range checkpoint resumed at tick %d", s.tick)
+			}
+			for i := 0; i < 5 && !s.Done(); i++ {
+				s.Tick()
+			}
+		})
+	}
 }
 
 // TestCheckpointedCampaignMatchesColdDecode holds the flash step's shared

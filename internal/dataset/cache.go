@@ -12,6 +12,7 @@ import (
 
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
+	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
 )
 
@@ -133,6 +134,29 @@ func corpusHash(c *trace.Corpus) uint64 {
 	return h.Sum64()
 }
 
+// fits reports whether decoded telemetry has the shape SimulateCorpus
+// gives c: one record per trace, in order, naming the trace and its seed,
+// with fixed-mode recordings of equal length and full base vectors.
+func fits(tel []*TraceTelemetry, c *trace.Corpus) bool {
+	if len(tel) != len(c.Traces) {
+		return false
+	}
+	for i, tt := range tel {
+		tr := c.Traces[i]
+		if tt == nil || tt.TraceName != tr.Name || tt.Seed != tr.Seed || len(tt.HighPerf) != len(tt.LowPower) {
+			return false
+		}
+		for _, recs := range [][]IntervalRecord{tt.HighPerf, tt.LowPower} {
+			for _, r := range recs {
+				if len(r.Base) != telemetry.NumBase {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // simFlight collapses concurrent in-process simulations of the same cache
 // key into one: losers block on the winner's simulation and share its
 // telemetry instead of re-simulating (or reading a cache file that is
@@ -167,14 +191,15 @@ func SimulateCorpusCached(c *trace.Corpus, cfg Config, dir string) ([]*TraceTele
 }
 
 // loadOrSimulate is the single-flighted body: read a valid cache file or
-// simulate and atomically publish one.
+// simulate and atomically publish one. A file that decodes but does not
+// fit the corpus counts as a miss and is overwritten.
 func loadOrSimulate(c *trace.Corpus, cfg Config, path, key, dir string) ([]*TraceTelemetry, error) {
 	if f, err := os.Open(path); err == nil {
 		var cached cacheFile
 		dec := gob.NewDecoder(f)
 		err := dec.Decode(&cached)
 		f.Close()
-		if err == nil && cached.Version == cacheVersion && cached.Key == key {
+		if err == nil && cached.Version == cacheVersion && cached.Key == key && fits(cached.Traces, c) {
 			cacheHits.Inc()
 			if fi, err := os.Stat(path); err == nil {
 				cacheBytesRead.Add(fi.Size())

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"clustergate/internal/telemetry"
@@ -226,6 +229,67 @@ func TestCacheCorruptionFallback(t *testing.T) {
 	}
 	if len(tel) != len(c.Traces) {
 		t.Fatal("corrupt cache not regenerated")
+	}
+}
+
+// TestCacheRejectsMismatchedFiles: a cache file with the right version and
+// key whose telemetry does not fit the corpus counts as a miss, and the
+// corpus is re-simulated and the file overwritten.
+func TestCacheRejectsMismatchedFiles(t *testing.T) {
+	dir := t.TempDir()
+	c := trace.BuildHDTR(trace.HDTRConfig{Apps: 6, MeanTracesPerApp: 1, InstrsPerTrace: 60_000, Seed: 9})
+	cfg := testCfg()
+	want := SimulateCorpus(c, cfg)
+	if _, err := SimulateCorpusCached(c, cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := os.ReadDir(dir)
+	path := filepath.Join(dir, entries[0].Name())
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Traces) < 3 {
+		t.Fatalf("corpus has %d traces; the edits need 3", len(c.Traces))
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*cacheFile)
+	}{
+		{"record missing", func(f *cacheFile) { f.Traces = f.Traces[:len(f.Traces)-1] }},
+		{"short base vector", func(f *cacheFile) { f.Traces[0].HighPerf[0].Base = f.Traces[0].HighPerf[0].Base[:3] }},
+		{"ragged modes", func(f *cacheFile) { f.Traces[1].LowPower = f.Traces[1].LowPower[1:] }},
+		{"other trace name", func(f *cacheFile) { f.Traces[2].TraceName += "-x" }},
+		{"other trace seed", func(f *cacheFile) { f.Traces[2].Seed++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var f cacheFile
+			if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&f); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&f)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			misses := ReadCacheStats().Misses
+			got, err := SimulateCorpusCached(c, cfg, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("mismatched cache file served instead of the simulated corpus")
+			}
+			if n := ReadCacheStats().Misses - misses; n != 1 {
+				t.Errorf("%d cache misses, want 1", n)
+			}
+			if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, good) {
+				t.Errorf("cache file not overwritten with the simulated corpus (read error %v)", err)
+			}
+		})
 	}
 }
 

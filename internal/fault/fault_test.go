@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"encoding/binary"
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -306,4 +308,49 @@ func TestNilInjectorIsTransparent(t *testing.T) {
 	if ti.Injected() != 0 {
 		t.Error("nil trace injector counted injections")
 	}
+}
+
+// FuzzParsePlan feeds arbitrary bytes to the plan parser. A plan it
+// accepts must compile, and the compiled plan's per-trace view must draw
+// DRAM derates, telemetry faults and prediction faults over a few
+// intervals of arbitrary telemetry, as a deployment does, without
+// panicking: derates stay at or above nominal, observed vectors keep the
+// true vector's length, and predictions stay 0 or 1. The committed seeds
+// (testdata/fuzz/FuzzParsePlan) are plans over every class, a derate-only
+// plan, an invalid plan and non-JSON bytes.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, traceSeed int64, raw []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		inj, err := NewInjector(p)
+		if err != nil {
+			t.Fatalf("ParsePlan accepted a plan NewInjector rejects: %v", err)
+		}
+		ti := inj.ForTrace(traceSeed)
+		// Four base vectors of one length, from raw as little-endian
+		// float64 bit patterns (NaN and infinities included).
+		vals := make([]float64, len(raw)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		n := len(vals) / 4
+		var prev []float64
+		pred := 0
+		for idx := 0; idx < 12; idx++ {
+			if d := ti.MemDerate(idx); !(d >= 1) {
+				t.Fatalf("interval %d: derate %v below nominal", idx, d)
+			}
+			base := vals[idx%4*n : (idx%4+1)*n]
+			if out, _, _ := ti.Telemetry(idx, base, prev); len(out) != len(base) {
+				t.Fatalf("interval %d: observed %d signals of %d", idx, len(out), len(base))
+			}
+			prev = base
+			if pred, _ = ti.Prediction(idx, idx%2, pred); pred != 0 && pred != 1 {
+				t.Fatalf("window %d: prediction %d", idx, pred)
+			}
+			_ = inj.FailTask(idx, 0)
+		}
+	})
 }

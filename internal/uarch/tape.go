@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"encoding/binary"
 	"math"
 	"runtime"
 	"slices"
@@ -72,8 +73,13 @@ type heldBytes struct{ n, _ int64 }
 // snapshot is a core's timing state after a warmup: everything the
 // timing pass reads, plus the cumulative Events.
 type snapshot struct {
-	warmup   int // instructions the recording asked to warm up with
-	state    timingState
+	warmup int // instructions the recording asked to warm up with
+	// state is the timingState's memory as a sequence of 8-byte words
+	// (the struct holds uint64s, so its size is a multiple of 8), each
+	// stored as the zigzag varint of its difference from the word
+	// before. Neighbouring ring slots hold nearby cycle numbers, so most
+	// words take one or two bytes: ~3.5 KB against the struct's ~12 KB.
+	state    []byte
 	ev       Events
 	memNext  uint64
 	mshrNext [2]uint64
@@ -179,15 +185,33 @@ func (t *Tape) span(i, j int, buf []uint64) []uint64 {
 func (t *Tape) size() int {
 	n := 2*cap(t.codes) + 8*cap(t.dict) + 8*cap(t.words)
 	if s := t.warm; s != nil {
-		n += int(unsafe.Sizeof(*s)) + 4*cap(s.slotIdx) + 8*cap(s.slotVal)
+		n += s.size()
 	}
 	return n
 }
 
+// size returns the memory the snapshot holds.
+func (s *snapshot) size() int {
+	return int(unsafe.Sizeof(*s)) + cap(s.state) + 4*cap(s.slotIdx) + 8*cap(s.slotVal)
+}
+
+// timingWords returns the core's timingState as the words snapshot.state
+// codes. The struct holds no pointers, so viewing it as words is safe.
+func (c *Core) timingWords() []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&c.timingState)), unsafe.Sizeof(c.timingState)/8)
+}
+
 // snapshot captures the core's timing state.
 func (c *Core) snapshot() *snapshot {
+	words := c.timingWords()
+	state := make([]byte, 0, binary.MaxVarintLen64*len(words))
+	prev := uint64(0)
+	for _, w := range words {
+		state = binary.AppendVarint(state, int64(w-prev))
+		prev = w
+	}
 	s := &snapshot{
-		state:    c.timingState,
+		state:    slices.Clone(state),
 		ev:       c.ev,
 		memNext:  c.hier.memNextFree,
 		mshrNext: c.hier.mshrNext,
@@ -204,9 +228,15 @@ func (c *Core) snapshot() *snapshot {
 	return s
 }
 
-// restore loads a snapshot into a fresh core in high-performance mode.
+// restore loads a snapshot into a fresh core, which must be in the mode
+// the snapshot was taken in.
 func (c *Core) restore(s *snapshot) {
-	c.timingState = s.state
+	words, state, prev := c.timingWords(), s.state, uint64(0)
+	for i := range words {
+		d, n := binary.Varint(state)
+		prev += uint64(d)
+		words[i], state = prev, state[n:]
+	}
 	c.ev = s.ev
 	c.hier.memNextFree = s.memNext
 	c.hier.mshrNext = s.mshrNext
@@ -313,6 +343,48 @@ func (r *Runner) Next() (Events, int) {
 	d := cur.Sub(r.prev)
 	r.prev = cur
 	return d, n
+}
+
+// Checkpoint is a tape runner's state between two intervals: its core's
+// timing state, the mode and DRAM derate in effect, its tape position and
+// the cumulative Events its next delta is taken against. A runner resumed
+// from it reports exactly the intervals the checkpointed runner would have
+// gone on to report under the same schedule. A Checkpoint is immutable and
+// can be resumed any number of times, concurrently.
+type Checkpoint struct {
+	tape     *Tape
+	snap     *snapshot
+	mode     Mode
+	derate   float64
+	interval int
+	pos      int
+	prev     Events
+}
+
+// Checkpoint captures the runner's state. Only tape runners can be
+// checkpointed.
+func (r *Runner) Checkpoint() *Checkpoint {
+	if r.tape == nil {
+		panic("uarch: only a tape runner can be checkpointed")
+	}
+	return &Checkpoint{
+		tape: r.tape, snap: r.c.snapshot(),
+		mode: r.c.mode, derate: r.c.hier.derate,
+		interval: r.interval, pos: r.pos, prev: r.prev,
+	}
+}
+
+// Size returns the memory the checkpoint holds.
+func (cp *Checkpoint) Size() int { return int(unsafe.Sizeof(*cp)) + cp.snap.size() }
+
+// Resume returns a runner that continues from the checkpoint on a fresh
+// timing core, replaying the checkpointed runner's tape.
+func (cp *Checkpoint) Resume() *Runner {
+	tapeReplays.Inc()
+	r := &Runner{c: newTimingCore(cp.tape.cfg, cp.mode), interval: cp.interval, tape: cp.tape, pos: cp.pos, prev: cp.prev}
+	r.c.restore(cp.snap)
+	r.c.SetMemDerate(cp.derate)
+	return r
 }
 
 // SetMode switches the core's cluster configuration (see Core.SetMode).

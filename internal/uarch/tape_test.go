@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"clustergate/internal/trace"
 )
@@ -263,6 +265,47 @@ func TestTapeRunnerMatchesLiveRunner(t *testing.T) {
 			if n == 0 {
 				break
 			}
+		}
+	}
+}
+
+// TestCheckpointResumeMatchesRunner checks runner checkpoints: a runner
+// resumed from a checkpoint taken after any interval reports, under the
+// same mode and derate schedule, exactly the intervals the checkpointed
+// runner went on to report, whatever mode and derate were in effect when
+// it was taken. A checkpoint codes its timing state smaller than the
+// state itself.
+func TestCheckpointResumeMatchesRunner(t *testing.T) {
+	cfg := DefaultConfig()
+	tr := &trace.Trace{App: trace.NewApplication(5, "checkpoint", 4), Seed: 2, NumInstrs: 95_000}
+	const warmup, interval = 20_000, 5_000
+	tape := RecordTape(cfg, trace.NewStream(tr), warmup)
+	schedule := func(i int) (Mode, float64) { return Mode(i / 2 % 2), float64(1 + i%3) }
+	run := func(r *Runner, from int) (deltas []Events, cps []*Checkpoint) {
+		for i := from; ; i++ {
+			m, f := schedule(i)
+			r.SetMode(m)
+			r.SetMemDerate(f)
+			d, n := r.Next()
+			if n == 0 {
+				return deltas, cps
+			}
+			deltas = append(deltas, d)
+			cps = append(cps, r.Checkpoint())
+		}
+	}
+	want, cps := run(tape.Runner(ModeHighPerf, warmup, interval), 0)
+	if len(want) < 10 {
+		t.Fatalf("%d intervals, want at least 10", len(want))
+	}
+	for i, cp := range cps {
+		got, _ := run(cp.Resume(), i+1)
+		if !slices.Equal(got, want[i+1:]) {
+			t.Fatalf("resumed after interval %d: deltas differ from the uninterrupted runner", i)
+		}
+		if size := cp.snap.size(); size >= int(unsafe.Sizeof(timingState{})) {
+			t.Errorf("checkpoint after interval %d holds %d bytes of timing state, no less than the %d-byte struct",
+				i, size, unsafe.Sizeof(timingState{}))
 		}
 	}
 }

@@ -50,6 +50,13 @@ echo "== fuzz binary trace decoding (FuzzTraceReader, 10s)"
 # with an error; seeds live in internal/trace/testdata/fuzz/FuzzTraceReader.
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
+echo "== fuzz fault plans (FuzzParsePlan, 10s)"
+# Any bytes must parse to a plan or fail with an error, and an accepted
+# plan's per-trace injector must draw derates, telemetry and prediction
+# faults over arbitrary telemetry without panicking; seeds live in
+# internal/fault/testdata/fuzz/FuzzParsePlan.
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fault/
+
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.
 baseline_dir=$(mktemp -d)
@@ -58,7 +65,7 @@ for f in BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BE
     [ -f "$f" ] && cp "$f" "$baseline_dir/$f"
 done
 
-echo "== uarch Execute benchmark (BENCH_uarch.json)"
+echo "== uarch Execute and tape replay benchmarks (BENCH_uarch.json)"
 # Custom metrics (instrs/s, ns/instr) come from the bench harness itself;
 # -benchtime counts iterations, not seconds, so the step stays fast and the
 # recorded numbers are comparable run to run on the same host.
