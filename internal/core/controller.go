@@ -105,27 +105,15 @@ func (g *GatingController) Validate(spec mcu.Spec) error {
 }
 
 // windowVectors converts a window of base-signal deltas into the model's
-// input space: the normalised aggregate vector and per-interval vectors,
-// both restricted to the selected columns.
-func (g *GatingController) windowVectors(window [][]float64, rng *rand.Rand) (agg []float64, per [][]float64) {
-	sum := telemetry.Aggregate(window)
-	agg = g.selectCols(g.Counters.Snapshot(sum, true, rng))
+// input space through the controller's projection (Counters projected
+// onto Columns): the normalised aggregate vector and per-interval vectors.
+func windowVectors(proj *telemetry.Projection, window [][]float64, rng *rand.Rand) (agg []float64, per [][]float64) {
+	agg = proj.Snapshot(telemetry.Aggregate(window), true, rng)
 	per = make([][]float64, len(window))
 	for i, b := range window {
-		per[i] = g.selectCols(g.Counters.Snapshot(b, true, rng))
+		per[i] = proj.Snapshot(b, true, rng)
 	}
 	return agg, per
-}
-
-func (g *GatingController) selectCols(full []float64) []float64 {
-	if g.Columns == nil {
-		return full
-	}
-	out := make([]float64, len(g.Columns))
-	for j, c := range g.Columns {
-		out[j] = full[c]
-	}
-	return out
 }
 
 // decide runs the mode-appropriate model on a window and applies its

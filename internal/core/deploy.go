@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"clustergate/internal/dataset"
@@ -186,7 +187,14 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 	src := open()
 
 	res := &GuardedDeploymentResult{}
-	rng := newDeployRNG(tr.Seed)
+	// The controller reads only its columns; the noise stream has no
+	// other reader, so it is seeded only when a selected counter draws.
+	proj := g.Counters.Project(g.Columns)
+	var rng *rand.Rand
+	if proj.DrawsNoise() {
+		rng = newDeployRNG(tr.Seed)
+	}
+	snapshots := 0
 	nWindows := ref.Intervals() / k
 
 	// applied[w] is the configuration actually in effect during window w
@@ -316,7 +324,8 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
-			agg, per := g.windowVectors(window, rng)
+			agg, per := windowVectors(proj, window, rng)
+			snapshots += 1 + len(per)
 			pred := g.decide(mode, agg, per)
 			if ti != nil {
 				if windowDropped {
@@ -368,6 +377,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 		res.BlackoutOverrides = state.blackouts
 	}
 	res.InjectedFaults = ti.Injected()
+	proj.Count(snapshots)
 	deploysDone.Inc()
 	predsIssued.Add(int64(len(res.Pred)))
 	return res, nil

@@ -162,15 +162,22 @@ func TestCheckpointMismatchStartsFresh(t *testing.T) {
 	s3.Close()
 }
 
-// TestCheckpointOutOfRangeStartsFresh: a checkpoint that matches the
-// campaign's fingerprint but holds indices the campaign cannot hold is
-// ignored like a mismatched one — the campaign starts fresh and runs
-// without panicking, in New or later in the ingest fold.
-func TestCheckpointOutOfRangeStartsFresh(t *testing.T) {
-	wl := testWorkload(t)
-	img := testController(t, wl.Cfg, -4, "cp-good")
-	cfg := churnConfig(200)
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+// outOfRangeEdits turn a campaign's checkpoint into one that matches its
+// fingerprint but holds indices the campaign cannot hold.
+var outOfRangeEdits = []struct {
+	name string
+	edit func(*campaignSnap)
+}{
+	{"extra ring accumulator", func(c *campaignSnap) { c.RingAccums = append(c.RingAccums, accumSnap{}) }},
+	{"negative health machine", func(c *campaignSnap) { c.Health[0].Machine = -3 }},
+	{"negative future machine", func(c *campaignSnap) { c.Future[0].Machine = -3 }},
+	{"future ring out of range", func(c *campaignSnap) { c.Future[0].Ring = 99 }},
+}
+
+// fiveTickCheckpoint runs cfg's campaign for five ticks and returns the
+// checkpoint it leaves at cfg.CheckpointPath.
+func fiveTickCheckpoint(t testing.TB, cfg Config, img []byte, wl fleet.Workload) []byte {
+	t.Helper()
 	s, err := New(cfg, img, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -186,29 +193,41 @@ func TestCheckpointOutOfRangeStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		edit func(*campaignSnap)
-	}{
-		{"extra ring accumulator", func(c *campaignSnap) { c.RingAccums = append(c.RingAccums, accumSnap{}) }},
-		{"negative health machine", func(c *campaignSnap) { c.Health[0].Machine = -3 }},
-		{"negative future machine", func(c *campaignSnap) { c.Future[0].Machine = -3 }},
-		{"future ring out of range", func(c *campaignSnap) { c.Future[0].Ring = 99 }},
-	} {
+	return good
+}
+
+// editCheckpoint applies edit to a checkpoint's JSON.
+func editCheckpoint(t testing.TB, good []byte, edit func(*campaignSnap)) []byte {
+	t.Helper()
+	var snap campaignSnap
+	if err := json.Unmarshal(good, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Health) == 0 || len(snap.Future) == 0 {
+		t.Fatalf("checkpoint holds %d health records and %d future intervals; the edits need both",
+			len(snap.Health), len(snap.Future))
+	}
+	edit(&snap)
+	data, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointOutOfRangeStartsFresh: a checkpoint that matches the
+// campaign's fingerprint but holds indices the campaign cannot hold is
+// ignored like a mismatched one — the campaign starts fresh and runs
+// without panicking, in New or later in the ingest fold.
+func TestCheckpointOutOfRangeStartsFresh(t *testing.T) {
+	wl := testWorkload(t)
+	img := testController(t, wl.Cfg, -4, "cp-good")
+	cfg := churnConfig(200)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+	good := fiveTickCheckpoint(t, cfg, img, wl)
+	for _, tc := range outOfRangeEdits {
 		t.Run(tc.name, func(t *testing.T) {
-			var snap campaignSnap
-			if err := json.Unmarshal(good, &snap); err != nil {
-				t.Fatal(err)
-			}
-			if len(snap.Health) == 0 || len(snap.Future) == 0 {
-				t.Fatalf("checkpoint holds %d health records and %d future intervals; the edits need both",
-					len(snap.Health), len(snap.Future))
-			}
-			tc.edit(&snap)
-			data, err := json.Marshal(&snap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := editCheckpoint(t, good, tc.edit)
 			if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -225,6 +244,38 @@ func TestCheckpointOutOfRangeStartsFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCheckpointRestore writes arbitrary bytes as a campaign's checkpoint:
+// New must restore them or start fresh, and the campaign must then run a
+// few ticks and close without panicking. Seeds are the five-tick
+// checkpoint of TestCheckpointOutOfRangeStartsFresh and its four
+// out-of-range edits.
+func FuzzCheckpointRestore(f *testing.F) {
+	wl := testWorkload(f)
+	img := testController(f, wl.Cfg, -4, "cp-good")
+	cfg := churnConfig(200)
+	cfg.CheckpointPath = filepath.Join(f.TempDir(), "campaign.ckpt")
+	good := fiveTickCheckpoint(f, cfg, img, wl)
+	f.Add(good)
+	for _, tc := range outOfRangeEdits {
+		f.Add(editCheckpoint(f, good, tc.edit))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := cfg
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "campaign.ckpt")
+		if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg, img, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3 && !s.Done(); i++ {
+			s.Tick()
+		}
+		s.Close()
+	})
 }
 
 // TestCheckpointedCampaignMatchesColdDecode holds the flash step's shared

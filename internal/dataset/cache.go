@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -178,7 +179,7 @@ func SimulateCorpusCached(c *trace.Corpus, cfg Config, dir string) ([]*TraceTele
 	if dir == "" {
 		return SimulateCorpus(c, cfg), nil
 	}
-	key := fmt.Sprintf("%s-%d-%d-%s-%x-v%d", c.Name, len(c.Apps), len(c.Traces), cfg, corpusHash(c), cacheVersion)
+	key := cacheKey(c, cfg)
 	path := filepath.Join(dir, key+".gob")
 
 	tel, err, shared := simFlight.Do(path, func() ([]*TraceTelemetry, error) {
@@ -190,22 +191,40 @@ func SimulateCorpusCached(c *trace.Corpus, cfg Config, dir string) ([]*TraceTele
 	return tel, err
 }
 
+// cacheKey names c's cache file under cfg: the corpus name and size, the
+// config, the generator content hash and the cache version.
+func cacheKey(c *trace.Corpus, cfg Config) string {
+	return fmt.Sprintf("%s-%d-%d-%s-%x-v%d", c.Name, len(c.Apps), len(c.Traces), cfg, corpusHash(c), cacheVersion)
+}
+
+// readCache decodes a cache file and returns its telemetry when the file
+// is of this cache version, carries key and fits c; any other bytes are a
+// miss (false), never a panic.
+func readCache(r io.Reader, c *trace.Corpus, key string) ([]*TraceTelemetry, bool) {
+	var cached cacheFile
+	if err := gob.NewDecoder(r).Decode(&cached); err != nil {
+		return nil, false
+	}
+	if cached.Version != cacheVersion || cached.Key != key || !fits(cached.Traces, c) {
+		return nil, false
+	}
+	return cached.Traces, true
+}
+
 // loadOrSimulate is the single-flighted body: read a valid cache file or
 // simulate and atomically publish one. A file that decodes but does not
 // fit the corpus counts as a miss and is overwritten.
 func loadOrSimulate(c *trace.Corpus, cfg Config, path, key, dir string) ([]*TraceTelemetry, error) {
 	if f, err := os.Open(path); err == nil {
-		var cached cacheFile
-		dec := gob.NewDecoder(f)
-		err := dec.Decode(&cached)
+		tel, ok := readCache(f, c, key)
 		f.Close()
-		if err == nil && cached.Version == cacheVersion && cached.Key == key && fits(cached.Traces, c) {
+		if ok {
 			cacheHits.Inc()
 			if fi, err := os.Stat(path); err == nil {
 				cacheBytesRead.Add(fi.Size())
 			}
 			recordCacheFile(key, path)
-			return cached.Traces, nil
+			return tel, nil
 		}
 	}
 	cacheMisses.Inc()

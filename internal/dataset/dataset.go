@@ -196,6 +196,10 @@ func BuildLabeled(tel []*TraceTelemetry, cs *telemetry.CounterSet, opt BuildOpti
 	if k < 1 {
 		k = 1
 	}
+	// The trace's noise stream has no reader but the snapshot, so it is
+	// seeded only when a selected counter draws.
+	proj := cs.Project(opt.Columns)
+	snapshots := 0
 	var out []*LabeledTrace
 	for _, tt := range tel {
 		n := tt.Intervals() / k
@@ -212,25 +216,26 @@ func BuildLabeled(tel []*TraceTelemetry, cs *telemetry.CounterSet, opt BuildOpti
 			Workload:  tt.Workload,
 			TraceName: tt.TraceName,
 		}
-		rng := rand.New(rand.NewSource(tt.Seed ^ 0x6e6f6973)) // per-trace noise stream
+		var rng *rand.Rand
+		if proj.DrawsNoise() {
+			rng = traceNoise(tt)
+		}
 		for t := 0; t+2 < n; t++ {
-			base := windowBase(src, t, k)
-			full := cs.Snapshot(base, !opt.NoNormalize, rng)
-			x := full
-			if opt.Columns != nil {
-				x = make([]float64, len(opt.Columns))
-				for j, c := range opt.Columns {
-					x[j] = full[c]
-				}
-			}
-			lt.X = append(lt.X, x)
+			lt.X = append(lt.X, proj.Snapshot(windowBase(src, t, k), !opt.NoNormalize, rng))
 			hi := WindowIPC(tt.HighPerf, t+2, k)
 			lo := WindowIPC(tt.LowPower, t+2, k)
 			lt.Y = append(lt.Y, opt.SLA.Label(hi, lo))
 		}
+		snapshots += len(lt.X)
 		out = append(out, lt)
 	}
+	proj.Count(snapshots)
 	return out
+}
+
+// traceNoise seeds a trace's telemetry-noise stream for dataset building.
+func traceNoise(tt *TraceTelemetry) *rand.Rand {
+	return rand.New(rand.NewSource(tt.Seed ^ 0x6e6f6973)) // "nois"
 }
 
 // windowBase sums the base vectors of window w (k intervals).
@@ -288,19 +293,23 @@ func Build(tel []*TraceTelemetry, cs *telemetry.CounterSet, opt BuildOptions) *m
 // CounterTraces expands telemetry into full per-trace counter matrices
 // (intervals × counters) for the counter-selection pipeline.
 func CounterTraces(tel []*TraceTelemetry, cs *telemetry.CounterSet, mode uarch.Mode) [][][]float64 {
+	all := cs.Project(nil)
+	snapshots := 0
 	out := make([][][]float64, 0, len(tel))
 	for _, tt := range tel {
 		src := tt.HighPerf
 		if mode == uarch.ModeLowPower {
 			src = tt.LowPower
 		}
-		rng := rand.New(rand.NewSource(tt.Seed ^ 0x6e6f6973))
+		rng := traceNoise(tt)
 		tr := make([][]float64, len(src))
 		for i, rec := range src {
-			tr[i] = cs.Snapshot(rec.Base, true, rng)
+			tr[i] = all.Snapshot(rec.Base, true, rng)
 		}
+		snapshots += len(tr)
 		out = append(out, tr)
 	}
+	all.Count(snapshots)
 	return out
 }
 

@@ -11,6 +11,7 @@ import (
 	"clustergate/internal/dataset"
 	"clustergate/internal/power"
 	"clustergate/internal/trace"
+	"clustergate/internal/uarch"
 )
 
 // OracleOptions configures the surrogate/validate oracle. The zero value
@@ -52,12 +53,38 @@ type Oracle struct {
 
 	mu   sync.Mutex
 	errs []float64
+
+	// fits remembers, per configuration compared so far, whether the
+	// model's fingerprint matches it: Fingerprint formats the core
+	// configuration reflectively, too costly to repeat per deployment.
+	fitsMu sync.Mutex
+	fits   map[fingerprintKey]bool
+}
+
+// fingerprintKey holds Fingerprint's inputs.
+type fingerprintKey struct {
+	interval, warmup int
+	core             uarch.Config
 }
 
 // NewOracle wraps a trained model in the given simulation mode.
 func NewOracle(m *Model, mode core.SimMode, opts OracleOptions) *Oracle {
 	opts.defaults()
-	return &Oracle{model: m, mode: mode, opts: opts}
+	return &Oracle{model: m, mode: mode, opts: opts, fits: map[fingerprintKey]bool{}}
+}
+
+// matches reports whether the model was trained for cfg, comparing
+// fingerprints once per configuration.
+func (o *Oracle) matches(cfg dataset.Config) bool {
+	key := fingerprintKey{cfg.Interval, cfg.Warmup, cfg.Core}
+	o.fitsMu.Lock()
+	defer o.fitsMu.Unlock()
+	ok, seen := o.fits[key]
+	if !seen {
+		ok = o.model.Fingerprint == Fingerprint(cfg)
+		o.fits[key] = ok
+	}
+	return ok
 }
 
 // Mode returns the oracle's simulation mode.
@@ -72,7 +99,7 @@ func (o *Oracle) Model() *Model { return o.model }
 // requested configuration.
 func (o *Oracle) Deploy(g *core.GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts core.DeployOptions) (*core.GuardedDeploymentResult, error) {
-	if o.mode == core.SimExact || o.model == nil || o.model.Fingerprint != Fingerprint(cfg) {
+	if o.mode == core.SimExact || o.model == nil || !o.matches(cfg) {
 		surrogateFallback.Inc()
 		return core.DeployWithOptions(g, tr, ref, cfg, pm, opts)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"clustergate/internal/core"
@@ -444,5 +445,73 @@ func TestSpliceSwitchCost(t *testing.T) {
 	derated := Splice(rec, uarch.ModeHighPerf, 4, steadySinceSwitch, cfg)
 	if derated[idxCycles] <= rec[idxCycles] {
 		t.Error("derate splice should add fill-gap cycles")
+	}
+}
+
+// TestFingerprintMemoConcurrent deploys concurrently under two
+// configurations, one the model was trained for and one it was not: every
+// deployment must route as a fresh comparison would (replay or exact
+// fallback) and return the sequential result, and the oracle compares each
+// configuration's fingerprint once.
+func TestFingerprintMemoConcurrent(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	g := testController(t, cfg, waveScorer{})
+	pm := power.DefaultModel()
+	model := &Model{FeatureVersion: FeatureVersion, Fingerprint: Fingerprint(cfg)}
+	other := cfg
+	other.Interval *= 2 // another fingerprint over the same deployment tape
+	if Fingerprint(other) == model.Fingerprint {
+		t.Fatal("configurations share a fingerprint")
+	}
+	cfgs := []dataset.Config{cfg, other}
+	const traces = 3
+	want := make([][]*core.GuardedDeploymentResult, len(cfgs))
+	for k, dc := range cfgs {
+		for i := 0; i < traces; i++ {
+			var res *core.GuardedDeploymentResult
+			var err error
+			if k == 0 {
+				res, err = model.Replay(g, c.Traces[i], tel[i], dc, pm, core.DeployOptions{})
+			} else {
+				res, err = core.DeployWithOptions(g, c.Traces[i], tel[i], dc, pm, core.DeployOptions{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = append(want[k], res)
+		}
+	}
+
+	o := NewOracle(model, core.SimSurrogate, OracleOptions{})
+	hits, fallbacks := surrogateHits.Value(), surrogateFallback.Value()
+	const rounds = 4
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for k := range cfgs {
+			for i := 0; i < traces; i++ {
+				wg.Add(1)
+				go func(k, i int) {
+					defer wg.Done()
+					got, err := o.Deploy(g, c.Traces[i], tel[i], cfgs[k], pm, core.DeployOptions{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[k][i]) {
+						t.Errorf("configuration %d, trace %d: result differs from the sequential one", k, i)
+					}
+				}(k, i)
+			}
+		}
+	}
+	wg.Wait()
+	if n := surrogateHits.Value() - hits; n != rounds*traces {
+		t.Errorf("%d replays, want %d", n, rounds*traces)
+	}
+	if n := surrogateFallback.Value() - fallbacks; n != rounds*traces {
+		t.Errorf("%d exact fallbacks, want %d", n, rounds*traces)
+	}
+	if len(o.fits) != len(cfgs) {
+		t.Errorf("memo holds %d configurations, want %d", len(o.fits), len(cfgs))
 	}
 }

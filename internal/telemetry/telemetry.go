@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 
+	"clustergate/internal/obs"
 	"clustergate/internal/uarch"
 )
 
@@ -235,38 +236,130 @@ func (cs *CounterSet) Index(name string) int {
 }
 
 // Snapshot expands an interval's base signal vector into the full counter
-// space. When normalize is true every counter is divided by the interval's
-// cycle count, the normalisation the paper found improves model accuracy.
-// rng drives measurement noise and debug-counter firing; pass a
-// deterministically seeded source for reproducible datasets.
+// space: the all-columns projection (see Project). When normalize is true
+// every counter is divided by the interval's cycle count, the
+// normalisation the paper found improves model accuracy. rng drives
+// measurement noise and debug-counter firing; pass a deterministically
+// seeded source for reproducible datasets.
 func (cs *CounterSet) Snapshot(base []float64, normalize bool, rng *rand.Rand) []float64 {
+	return cs.Project(nil).Snapshot(base, normalize, rng)
+}
+
+// Projection snapshots a column subset of a CounterSet, computing only the
+// counters it selects — the firmware reads the counters its model uses,
+// not all 936. Build one per batch of snapshots (a deployment, a dataset):
+// it is immutable and safe for concurrent use.
+//
+// A projection reproduces the full expansion bit for bit. The expansion
+// reads the noise stream in set order — one NormFloat64 per noisy counter
+// whose base signal is nonzero and one Float64 per debug counter — so a
+// projection that selects any noisy or debug counter makes every one of
+// those draws and keeps the selected values, leaving rng where the full
+// expansion would. A projection that selects none draws nothing.
+type Projection struct {
+	// steps are the counters a snapshot computes, in set order: the
+	// selected ones and, when any of them reads the noise stream, every
+	// counter that does.
+	steps []projStep
+	// dups copies repeated columns: out[d[0]] = out[d[1]].
+	dups  [][2]int
+	width int
+	draws bool
+}
+
+// projStep computes one counter into output position out, or only
+// advances the noise stream when out is -1.
+type projStep struct {
+	spec counterSpec
+	out  int
+}
+
+// Snapshot observability: snapshots taken, and those that drew the noise
+// stream. Callers add a batch's count once (Projection.Count), never per
+// snapshot.
+var (
+	snapshotsTaken = obs.NewCounter("telemetry.snapshots")
+	snapshotsNoisy = obs.NewCounter("telemetry.snapshots.noisy")
+)
+
+// Project returns the projection onto cols: output j is counter cols[j].
+// Columns may repeat and come in any order; nil selects every counter in
+// set order. A column outside the set panics.
+func (cs *CounterSet) Project(cols []int) *Projection {
+	if cols == nil {
+		cols = make([]int, len(cs.specs))
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	// Output positions ordered by column, so one pass in set order finds
+	// every output of each selected counter.
+	order := make([]int, len(cols))
+	for j, c := range cols {
+		if c < 0 || c >= len(cs.specs) {
+			panic(fmt.Sprintf("telemetry: column %d outside the %d-counter set", c, len(cs.specs)))
+		}
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cols[a] - cols[b] })
+
+	p := &Projection{steps: make([]projStep, 0, len(cols)), width: len(cols)}
+	for _, c := range cols {
+		if cs.specs[c].drawsNoise() {
+			p.draws = true
+			break
+		}
+	}
+	next := 0
+	for i := range cs.specs {
+		out := -1
+		for ; next < len(order) && cols[order[next]] == i; next++ {
+			if out < 0 {
+				out = order[next]
+			} else {
+				p.dups = append(p.dups, [2]int{order[next], out})
+			}
+		}
+		if out >= 0 || (p.draws && cs.specs[i].drawsNoise()) {
+			p.steps = append(p.steps, projStep{spec: cs.specs[i], out: out})
+		}
+		if next == len(order) && !p.draws {
+			break
+		}
+	}
+	return p
+}
+
+// DrawsNoise reports whether the projection reads the noise stream; when
+// it does not, Snapshot accepts a nil rng.
+func (p *Projection) DrawsNoise() bool { return p.draws }
+
+// Count adds n snapshots taken through p to the telemetry.snapshots
+// counter, and to telemetry.snapshots.noisy when p draws the noise
+// stream.
+func (p *Projection) Count(n int) {
+	snapshotsTaken.Add(int64(n))
+	if p.draws {
+		snapshotsNoisy.Add(int64(n))
+	}
+}
+
+// Snapshot returns the selected counters of base's full expansion (see
+// CounterSet.Snapshot), in column order.
+func (p *Projection) Snapshot(base []float64, normalize bool, rng *rand.Rand) []float64 {
 	if len(base) != NumBase {
 		panic(fmt.Sprintf("telemetry: base vector has %d signals, want %d", len(base), NumBase))
 	}
-	out := make([]float64, len(cs.specs))
-	for i := range cs.specs {
-		sp := &cs.specs[i]
-		var v float64
-		switch sp.kind {
-		case kindBase:
-			v = base[sp.src[0]]
-		case kindScaled:
-			v = base[sp.src[0]] * sp.coef[0]
-		case kindNoisy:
-			v = base[sp.src[0]]
-			if v != 0 {
-				v += rng.NormFloat64() * sp.noise * v
-			}
-		case kindSum:
-			v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]]
-		case kindCombo:
-			v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]] + sp.coef[2]*base[sp.src[2]]
-		case kindDebug:
-			if rng.Float64() < 0.02 {
-				v = sp.coef[0] * base[sp.src[0]]
-			}
+	out := make([]float64, p.width)
+	for i := range p.steps {
+		st := &p.steps[i]
+		v := st.spec.value(base, rng)
+		if st.out >= 0 {
+			out[st.out] = v
 		}
-		out[i] = v
+	}
+	for _, d := range p.dups {
+		out[d[0]] = out[d[1]]
 	}
 	if normalize {
 		cyc := base[NumBase-1] // "cycles"
@@ -277,6 +370,37 @@ func (cs *CounterSet) Snapshot(base []float64, normalize bool, rng *rand.Rand) [
 		}
 	}
 	return out
+}
+
+// drawsNoise reports whether the counter reads the noise stream.
+func (sp *counterSpec) drawsNoise() bool {
+	return sp.kind == kindNoisy || sp.kind == kindDebug
+}
+
+// value computes the counter from an interval's base signals, drawing
+// from rng as the full expansion does.
+func (sp *counterSpec) value(base []float64, rng *rand.Rand) float64 {
+	var v float64
+	switch sp.kind {
+	case kindBase:
+		v = base[sp.src[0]]
+	case kindScaled:
+		v = base[sp.src[0]] * sp.coef[0]
+	case kindNoisy:
+		v = base[sp.src[0]]
+		if v != 0 {
+			v += rng.NormFloat64() * sp.noise * v
+		}
+	case kindSum:
+		v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]]
+	case kindCombo:
+		v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]] + sp.coef[2]*base[sp.src[2]]
+	case kindDebug:
+		if rng.Float64() < 0.02 {
+			v = sp.coef[0] * base[sp.src[0]]
+		}
+	}
+	return v
 }
 
 // Aggregate sums successive interval base vectors into one coarser vector,

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -206,4 +207,147 @@ func TestStandardCounterSetCopies(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// referenceSnapshot is the full expansion as one loop over the set: every
+// counter computed in set order, then normalised. Projections are held to
+// it bit for bit.
+func referenceSnapshot(cs *CounterSet, base []float64, normalize bool, rng *rand.Rand) []float64 {
+	out := make([]float64, len(cs.specs))
+	for i := range cs.specs {
+		sp := &cs.specs[i]
+		var v float64
+		switch sp.kind {
+		case kindBase:
+			v = base[sp.src[0]]
+		case kindScaled:
+			v = base[sp.src[0]] * sp.coef[0]
+		case kindNoisy:
+			v = base[sp.src[0]]
+			if v != 0 {
+				v += rng.NormFloat64() * sp.noise * v
+			}
+		case kindSum:
+			v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]]
+		case kindCombo:
+			v = sp.coef[0]*base[sp.src[0]] + sp.coef[1]*base[sp.src[1]] + sp.coef[2]*base[sp.src[2]]
+		case kindDebug:
+			if rng.Float64() < 0.02 {
+				v = sp.coef[0] * base[sp.src[0]]
+			}
+		}
+		out[i] = v
+	}
+	if normalize {
+		cyc := base[NumBase-1] // "cycles"
+		if cyc > 0 {
+			for i := range out {
+				out[i] /= cyc
+			}
+		}
+	}
+	return out
+}
+
+// TestProjectionMatchesSnapshot holds projections to the reference full
+// expansion: over a sequence of snapshots sharing one noise stream per
+// side, every selected value matches bit for bit and, when the projection
+// reads the noise stream, both streams end in the same state. Bases
+// include zero signals (a noisy counter over a zero signal draws nothing),
+// zero cycles and an all-zero vector, each with and without
+// normalisation. A projection that reads no noise runs on a nil stream.
+func TestProjectionMatchesSnapshot(t *testing.T) {
+	cs := NewStandardCounterSet()
+	idx := func(names ...string) []int {
+		cols := make([]int, len(names))
+		for j, n := range names {
+			if cols[j] = cs.Index(n); cols[j] < 0 {
+				t.Fatalf("counter %q missing", n)
+			}
+		}
+		return cols
+	}
+	table4 := idx(Table4Names()...)
+	for _, tc := range []struct {
+		name  string
+		cols  []int
+		noisy bool
+	}{
+		{"all", nil, true},
+		{"table4", table4, false},
+		{"base+sum", idx("l1d_reads", "sum_017", "loads_retired", "sum_003", "stall_count",
+			"uop_cache_hits", "sum_140", "branches", "instructions", "sum_099", "l2_misses", "cycles"), false},
+		{"scaled+combo", idx("cycles_x3", "combo_000", "l1d_hits_x0", "combo_149"), false},
+		{"noisy", idx("loads_retired_smp0", "instructions", "l2_misses_smp1"), true},
+		{"debug", idx("debug_000", "l1d_reads"), true},
+		{"noisy+debug", idx("stall_count", "debug_355", "uop_cache_misses_smp1", "sum_001", "debug_120"), true},
+		{"duplicates", idx("l1d_reads", "debug_007", "l1d_reads", "fp_ops_smp0", "debug_007", "fp_ops_smp0"), true},
+		{"duplicate base", idx("cycles", "cycles", "uop_cache_misses"), false},
+		{"unsorted", idx("debug_300", "cycles_smp0", "combo_010", "uops_ready", "sum_149", "branches_smp1"), true},
+		{"reversed table4", []int{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := cs.Project(tc.cols)
+			if p.DrawsNoise() != tc.noisy {
+				t.Fatalf("DrawsNoise = %v, want %v", p.DrawsNoise(), tc.noisy)
+			}
+			want := len(tc.cols)
+			if tc.cols == nil {
+				want = cs.Len()
+			}
+			refRNG := rand.New(rand.NewSource(41))
+			var projRNG *rand.Rand
+			if tc.noisy {
+				projRNG = rand.New(rand.NewSource(41))
+			}
+			gen := rand.New(rand.NewSource(7))
+			for step, base := range projectionBases(gen) {
+				for _, norm := range []bool{true, false} {
+					full := referenceSnapshot(cs, base, norm, refRNG)
+					got := p.Snapshot(base, norm, projRNG)
+					if len(got) != want {
+						t.Fatalf("snapshot %d: %d values, want %d", step, len(got), want)
+					}
+					for j, v := range got {
+						c := j
+						if tc.cols != nil {
+							c = tc.cols[j]
+						}
+						if math.Float64bits(v) != math.Float64bits(full[c]) {
+							t.Fatalf("snapshot %d (normalize %v): output %d (%s) = %v, want %v",
+								step, norm, j, cs.Names[c], v, full[c])
+						}
+					}
+				}
+			}
+			if tc.noisy {
+				if a, b := refRNG.Int63(), projRNG.Int63(); a != b {
+					t.Errorf("noise stream left in another state: next draw %d, want %d", b, a)
+				}
+			}
+		})
+	}
+}
+
+// projectionBases returns base vectors covering the expansion's edge
+// cases: random signals, some signals zero, zero cycles, all zero.
+func projectionBases(rng *rand.Rand) [][]float64 {
+	var bases [][]float64
+	for k := 0; k < 24; k++ {
+		b := make([]float64, NumBase)
+		for i := range b {
+			b[i] = float64(rng.Intn(50_000))
+			if rng.Intn(3) == 0 {
+				b[i] = 0
+			}
+		}
+		switch k % 6 {
+		case 4:
+			b[NumBase-1] = 0 // zero cycles: normalisation is skipped
+		case 5:
+			clear(b)
+		}
+		bases = append(bases, b)
+	}
+	return bases
 }

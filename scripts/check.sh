@@ -16,6 +16,12 @@ go vet ./...
 echo "== lintdoc (package + exported-symbol docs)"
 go run scripts/lintdoc.go
 
+echo "== lintmaporder (float accumulation in map order)"
+# A float +=, -= or *= inside a range over a map sums in an order that
+# changes from run to run; non-test code under internal/ and cmd/ must
+# have none.
+go run scripts/lintmaporder.go
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -56,6 +62,18 @@ echo "== fuzz fault plans (FuzzParsePlan, 10s)"
 # faults over arbitrary telemetry without panicking; seeds live in
 # internal/fault/testdata/fuzz/FuzzParsePlan.
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fault/
+
+echo "== fuzz telemetry-cache reading (FuzzReadCache, 10s)"
+# Any bytes must decode to telemetry that fits the corpus, which dataset
+# building then consumes, or count as a miss; seeds live in
+# internal/dataset/testdata/fuzz/FuzzReadCache.
+go test -run '^$' -fuzz '^FuzzReadCache$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
+
+echo "== fuzz control-plane checkpoint restore (FuzzCheckpointRestore, 10s)"
+# Any bytes written as a campaign's checkpoint must be restored or ignored,
+# and the campaign must then tick and close; seeds are a five-tick
+# checkpoint and its out-of-range edits, built in the test.
+go test -run '^$' -fuzz '^FuzzCheckpointRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ctrlplane/
 
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.
