@@ -9,7 +9,7 @@
 //	obsdiff [-tol F] [-ctol F] [-mtol F] [-skip GLOBS] BASELINE CURRENT
 //
 // The two files must be the same schema; obsdiff detects it from the
-// content (uarch-bench/v1, surrogate-bench/v1, ctrlplane-bench/v1,
+// content (uarch-bench/v1, surrogate-bench/v1 or v2, ctrlplane-bench/v1,
 // ctrlplane-churn-bench/v1, a results file's "results" array, or a run
 // manifest's "counters"). Three tolerances, one per value class:
 //
@@ -270,13 +270,15 @@ func (d *differ) diffUarch(base, cur map[string]any) {
 	}
 }
 
-// diffSurrogate compares surrogate-bench/v1 files: per-deploy timings at
-// the timing tolerance, the surrogate's error percentiles as one-sided
+// diffSurrogate compares surrogate-bench files: per-deploy timings at
+// the timing tolerance (v2's repeat timings too, when both files have
+// them; v1 has none), the surrogate's error percentiles as one-sided
 // accuracy gates (err_p95 may not grow past the timing tolerance — error
 // shrinking never flags), and a within_budget verdict that flipped to
 // false is always a regression.
 func (d *differ) diffSurrogate(base, cur map[string]any) {
-	for _, k := range []string{"exact_ns_per_deploy", "surrogate_ns_per_deploy"} {
+	for _, k := range []string{"exact_ns_per_deploy", "surrogate_ns_per_deploy",
+		"exact_repeat_ns_per_deploy", "surrogate_repeat_ns_per_deploy"} {
 		if bv, ok := num(base, k); ok {
 			if cv, ok := num(cur, k); ok {
 				d.slower(k, bv, cv)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,6 +135,29 @@ const ctrlplaneBase = `{"schema":"ctrlplane-bench/v1","machines":10000,"shards":
 	"ticks":30,"intervals":500000,"decisions":500010,"wall_seconds":5,
 	"machines_per_sec":4000,"decisions_per_sec":200000,"p95_decision_ms":0.5,
 	"completed":true,"bad_caught":true}`
+
+// TestSurrogateRepeatTimingGated: a v2 surrogate bench gates its repeat
+// timings like its first-deployment ones, and a v1 baseline, which has no
+// repeat timings, still diffs against a v2 file.
+func TestSurrogateRepeatTimingGated(t *testing.T) {
+	const v2 = `{"schema":"surrogate-bench/v2","exact_ns_per_deploy":1000,"surrogate_ns_per_deploy":100,
+		"exact_repeat_ns_per_deploy":%d,"surrogate_repeat_ns_per_deploy":%d,"err_p95":0.01,"err_max":0.02,"within_budget":true}`
+	base := writeDoc(t, "base.json", fmt.Sprintf(v2, 50, 10))
+	for _, c := range []struct {
+		exact, sur int
+		key        string
+	}{{200, 10, "exact_repeat_ns_per_deploy"}, {50, 40, "surrogate_repeat_ns_per_deploy"}} {
+		cur := writeDoc(t, "cur.json", fmt.Sprintf(v2, c.exact, c.sur))
+		if code, out := diff(t, "-tol", "1.0", base, cur); code != 1 || !strings.Contains(out, c.key) {
+			t.Fatalf("slower %s must regress: exit %d:\n%s", c.key, code, out)
+		}
+	}
+	v1 := writeDoc(t, "v1.json", `{"schema":"surrogate-bench/v1","exact_ns_per_deploy":1000,"surrogate_ns_per_deploy":100,
+		"err_p95":0.01,"err_max":0.02,"within_budget":true}`)
+	if code, out := diff(t, v1, base); code != 0 {
+		t.Fatalf("v1 baseline against v2: exit %d:\n%s", code, out)
+	}
+}
 
 func TestCtrlplaneThroughputDropFails(t *testing.T) {
 	base := writeDoc(t, "base.json", ctrlplaneBase)

@@ -926,20 +926,23 @@ func writeCtrlplaneChurnJSON(path string, r *experiments.CtrlplaneChurnResult) e
 // timings live here and never on stdout.
 func writeSurrogateJSON(path string, r *experiments.SurrogateBenchResult) error {
 	out := map[string]any{
-		"schema":                  "surrogate-bench/v1",
-		"traces":                  r.Traces,
-		"deploys":                 r.Deploys,
-		"exact_ns_per_deploy":     r.ExactNSPerDeploy,
-		"surrogate_ns_per_deploy": r.ReplayNSPerDeploy,
-		"speedup":                 r.Speedup,
-		"err_p50":                 r.ErrP50,
-		"err_p95":                 r.ErrP95,
-		"err_max":                 r.ErrMax,
-		"pred_agreement":          r.PredAgree,
-		"samples":                 r.TrainSamples,
-		"backend":                 r.TrainBackend,
-		"budget":                  r.Budget,
-		"within_budget":           r.WithinBudget,
+		"schema":                         "surrogate-bench/v2",
+		"traces":                         r.Traces,
+		"deploys":                        r.Deploys,
+		"exact_ns_per_deploy":            r.ExactNSPerDeploy,
+		"exact_repeat_ns_per_deploy":     r.ExactRepeatNSPerDeploy,
+		"surrogate_ns_per_deploy":        r.ReplayNSPerDeploy,
+		"surrogate_repeat_ns_per_deploy": r.ReplayRepeatNSPerDeploy,
+		"speedup":                        r.Speedup,
+		"repeat_speedup":                 r.RepeatSpeedup,
+		"err_p50":                        r.ErrP50,
+		"err_p95":                        r.ErrP95,
+		"err_max":                        r.ErrMax,
+		"pred_agreement":                 r.PredAgree,
+		"samples":                        r.TrainSamples,
+		"backend":                        r.TrainBackend,
+		"budget":                         r.Budget,
+		"within_budget":                  r.WithinBudget,
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

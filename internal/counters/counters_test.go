@@ -2,6 +2,7 @@ package counters
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -172,6 +173,58 @@ func TestSelectDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("selection not deterministic")
+		}
+	}
+}
+
+// TestPFSelectRankingPrefix: PF selection is greedy and R only ends its
+// loop, so on the same data a ranking selected with a smaller R is a
+// prefix of one selected with a larger R (experiments.Env.TopCounters
+// serves shorter requests from its longest ranking on that basis).
+func TestPFSelectRankingPrefix(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const samples, cols, factors = 80, 24, 5
+		// Each column is one latent factor, scaled, plus noise of a
+		// per-column width: low-noise columns of one factor are
+		// interchangeable and removed together, noisier ones stay
+		// selectable, so rankings are neither index order nor complete.
+		factor, noise := make([]int, cols), make([]float64, cols)
+		for j := range factor {
+			factor[j] = rng.Intn(factors)
+			noise[j] = []float64{0.05, 0.5, 2}[rng.Intn(3)]
+		}
+		x := make([][]float64, samples)
+		for i := range x {
+			lat := make([]float64, factors)
+			for k := range lat {
+				lat[k] = rng.NormFloat64()
+			}
+			x[i] = make([]float64, cols)
+			for j := range x[i] {
+				x[i][j] = float64(1+j%3)*lat[factor[j]] + noise[j]*rng.NormFloat64()
+			}
+		}
+		cands := make([]int, cols)
+		for j := range cands {
+			cands[j] = j
+		}
+		cfg := DefaultPFConfig()
+		cfg.R = cols
+		long, err := PFSelect(x, cands, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 1; a <= cols; a++ {
+			cfg.R = a
+			short, err := PFSelect(x, cands, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := long[:min(a, len(long))]
+			if !reflect.DeepEqual(short, want) {
+				t.Fatalf("seed %d: R=%d selects %v, the first %d of R=%d select %v", seed, a, short, a, cols, want)
+			}
 		}
 	}
 }

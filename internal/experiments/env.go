@@ -12,6 +12,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"time"
 
 	"clustergate/internal/core"
@@ -142,6 +144,12 @@ type Env struct {
 
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
+
+	// ranking is the longest PF ranking TopCounters has computed, selected
+	// with R = rankR (it is shorter when selection runs out of counters).
+	rankMu  sync.Mutex
+	rankR   int
+	ranking []int
 }
 
 // SimOracle returns the environment's simulation oracle, defaulting to
@@ -256,19 +264,32 @@ func (e *Env) selectCounters() error {
 
 // TopCounters returns the first r PF-selected counters (PF selection is
 // ordered by information content, so prefixes are the Figure 5 sweep).
-// When r exceeds the selected set, selection is re-run with a larger R.
+// When r exceeds the selected set, selection is re-run with a larger R on
+// the first 120 HDTR traces. PF selection is greedy and R only ends its
+// loop, so a ranking selected with a smaller R is a prefix of one selected
+// with a larger R: the Env keeps its longest and serves shorter requests
+// from it.
 func (e *Env) TopCounters(r int) ([]int, error) {
 	if r <= len(e.PFColumns) {
 		return e.PFColumns[:r], nil
 	}
-	sub := e.HDTRTel
-	if len(sub) > 120 {
-		sub = sub[:120]
+	e.rankMu.Lock()
+	defer e.rankMu.Unlock()
+	if r > e.rankR {
+		sub := e.HDTRTel
+		if len(sub) > 120 {
+			sub = sub[:120]
+		}
+		raw := dataset.CounterTraces(sub, e.CS, uarch.ModeLowPower)
+		cfg := counters.DefaultPFConfig()
+		cfg.R = r
+		cols, err := counters.Select(raw, counters.DefaultScreens(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.rankR, e.ranking = r, cols
 	}
-	raw := dataset.CounterTraces(sub, e.CS, uarch.ModeLowPower)
-	cfg := counters.DefaultPFConfig()
-	cfg.R = r
-	return counters.Select(raw, counters.DefaultScreens(), cfg)
+	return slices.Clone(e.ranking[:min(r, len(e.ranking))]), nil
 }
 
 func (e *Env) logf(format string, args ...any) {

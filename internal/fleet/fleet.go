@@ -6,12 +6,12 @@
 // A rollout flashes one sealed controller image (core.SaveController's
 // CRC-enveloped format) across N machines in staged rings (canary → early
 // → broad). Every flash is subject to a seeded transport model: attempts
-// can transiently fail (retried with backoff through parallel.MapOpt) and
-// the delivered payload can arrive bit-corrupted (fault.FlipBits).
-// Machines that verify images reject corrupted payloads at the CRC
-// envelope and re-request the transfer; machines on the legacy unverified
-// pipeline install whatever arrives — the exposure the rollout controller
-// exists to bound. After each gated ring installs, its machines soak the
+// can transiently fail (retried at once: simulated time advances by the
+// tick, so a retry waits for nothing) and the delivered payload can
+// arrive bit-corrupted (fault.FlipBits). Machines that verify images
+// reject corrupted payloads at the CRC envelope and re-request the
+// transfer; machines on the legacy unverified pipeline install whatever
+// arrives — the exposure the rollout controller exists to bound. After each gated ring installs, its machines soak the
 // image on their assigned workload slice under the guardrail-instrumented
 // deploy loop, and ring promotion is gated on the aggregated health
 // telemetry: CRC rejection rate, guardrail trips per machine, and the

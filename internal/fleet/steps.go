@@ -38,10 +38,6 @@ const (
 // opKey identifies one machine's flash operation in one phase.
 func opKey(machine, phase int) int { return machine*2 + phase }
 
-// flashBackoff is the sleep before a failed flash attempt's retry. Wall
-// clock only — the retry schedule itself is deterministic.
-const flashBackoff = 50 * time.Microsecond
-
 // FlashSpec describes one flash campaign's transport model: the image
 // being pushed and the seeded failure/corruption schedule every machine's
 // attempts draw against. A FlashSpec is immutable and safe for concurrent
@@ -131,7 +127,6 @@ func (s *FlashSpec) Flash(machine, phase int) FlashOutcome {
 		if s.attempt(machine, phase, a, &out) || a >= s.Retries {
 			return out
 		}
-		time.Sleep(flashBackoff)
 	}
 }
 
@@ -286,21 +281,31 @@ func (s *Soaker) Deploy(g *core.GatingController, ti int) *SoakProfile {
 }
 
 // Pristine memoises Deploy per trace index for machines running the
-// uncorrupted image. The single-flight group only collapses concurrent
-// first computations; results are identical either way.
+// uncorrupted image, deploying each trace exactly once. The single-flight
+// group collapses concurrent first computations, and the flight stores
+// its result before it lands, so a caller that missed the memo just as a
+// flight ended finds the result on its own flight instead of deploying
+// again (and logging the deployment's events twice).
 func (s *Soaker) Pristine(g *core.GatingController, ti int) *SoakProfile {
-	s.mu.Lock()
-	p, ok := s.memo[ti]
-	s.mu.Unlock()
-	if ok {
+	memo := func() (*SoakProfile, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		p, ok := s.memo[ti]
+		return p, ok
+	}
+	if p, ok := memo(); ok {
 		return p
 	}
-	p, _, _ = s.sf.Do(fmt.Sprintf("trace-%d", ti), func() (*SoakProfile, error) {
-		return s.Deploy(g, ti), nil
+	p, _, _ := s.sf.Do(fmt.Sprintf("trace-%d", ti), func() (*SoakProfile, error) {
+		if p, ok := memo(); ok {
+			return p, nil
+		}
+		p := s.Deploy(g, ti)
+		s.mu.Lock()
+		s.memo[ti] = p
+		s.mu.Unlock()
+		return p, nil
 	})
-	s.mu.Lock()
-	s.memo[ti] = p
-	s.mu.Unlock()
 	return p
 }
 

@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clustergate/internal/core"
@@ -160,5 +162,44 @@ func TestRollbackBookkeepingConsistency(t *testing.T) {
 	// only half-tested.
 	if !sawRollback || !sawComplete {
 		t.Fatalf("seed sweep covered rollback=%v complete=%v; need both", sawRollback, sawComplete)
+	}
+}
+
+// countingOracle counts deployments and fails each at once, so a soak
+// costs nothing but the memo's bookkeeping.
+type countingOracle struct {
+	core.ExactOracle
+	n atomic.Int64
+}
+
+func (o *countingOracle) Deploy(*core.GatingController, *trace.Trace, *dataset.TraceTelemetry,
+	dataset.Config, *power.Model, core.DeployOptions) (*core.GuardedDeploymentResult, error) {
+	o.n.Add(1)
+	return nil, errors.New("counted")
+}
+
+// TestPristineDeploysEachTraceOnce hammers Pristine from many goroutines:
+// each trace must be deployed exactly once per Soaker, or a run's event
+// log would hold a duplicate deployment's events.
+func TestPristineDeploysEachTraceOnce(t *testing.T) {
+	const traces, callers, rounds = 3, 8, 300
+	for r := 0; r < rounds; r++ {
+		o := &countingOracle{}
+		s := NewSoaker(Workload{Traces: make([]*trace.Trace, traces), Tel: make([]*dataset.TraceTelemetry, traces), Oracle: o},
+			core.DefaultGuardrail())
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for k := 0; k < 4*traces; k++ {
+					s.Pristine(nil, (c+k)%traces)
+				}
+			}(c)
+		}
+		wg.Wait()
+		if n := o.n.Load(); n != traces {
+			t.Fatalf("round %d: %d deployments for %d traces", r, n, traces)
+		}
 	}
 }

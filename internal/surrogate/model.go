@@ -2,6 +2,7 @@ package surrogate
 
 import (
 	"fmt"
+	"sync"
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
@@ -23,6 +24,10 @@ const maxResidual = 0.4
 // cycle error of the spliced estimate (true/spliced − 1). Exactly one of
 // Forest/Ridge is set, recorded in Backend; both are evaluated on the
 // holdout at training time and the lower-MAE backend wins.
+//
+// A Model memoises its residuals per recording (see residualTable), so
+// neither it nor the recordings it replays may be modified after its first
+// deployment; retraining builds a new Model.
 type Model struct {
 	FeatureVersion int
 	Backend        string // "forest" or "ridge"
@@ -37,6 +42,11 @@ type Model struct {
 	Samples    int
 	HoldoutMAE float64
 	HoldoutP95 float64
+
+	// tables holds one residual table per recording the model has
+	// replayed, so every deployment of a recording shares its residuals.
+	tablesMu sync.Mutex
+	tables   map[*dataset.TraceTelemetry]*residualTable
 }
 
 // Residual returns the clamped relative-cycle correction for a feature
@@ -65,25 +75,28 @@ func (m *Model) Residual(f []float64) float64 {
 
 // Replay runs one closed-loop deployment on the surrogate fast path,
 // regardless of oracle mode: core.DeployFrom's decision loop over spliced
-// recorded intervals corrected by the model's residual. The caller is
-// responsible for fingerprint checks (Oracle.Deploy does both).
+// recorded intervals corrected by the model's residual, read from the
+// recording's residual table. The caller is responsible for fingerprint
+// checks (Oracle.Deploy does both).
 func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts core.DeployOptions) (*core.GuardedDeploymentResult, error) {
 	if m != nil && m.FeatureVersion != FeatureVersion {
 		return nil, fmt.Errorf("surrogate: model feature schema v%d, package is v%d", m.FeatureVersion, FeatureVersion)
 	}
 	return core.DeployFrom(g, tr, ref, pm, opts, func() core.IntervalSource {
-		return &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock()}
+		return &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock(), table: m.residuals(ref)}
 	})
 }
 
 // traceModel is the surrogate's core.IntervalSource for one deployment:
-// the trace's recorded fixed-mode telemetry plus the trained residual.
+// the trace's recorded fixed-mode telemetry plus the trained residual,
+// looked up in the recording's table (nil evaluates every interval).
 type traceModel struct {
 	m     *Model
 	ref   *dataset.TraceTelemetry
 	core  uarch.Config
 	clock switchClock
+	table *residualTable
 }
 
 // NextInterval returns the surrogate's estimate of the exact simulator's
@@ -95,22 +108,26 @@ func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) []f
 		return nil
 	}
 	sinceSwitch := t.clock.next(mode)
-	recs, other := t.ref.HighPerf, t.ref.LowPower
+	rec := t.ref.HighPerf[gidx]
 	if mode == uarch.ModeLowPower {
-		recs, other = t.ref.LowPower, t.ref.HighPerf
+		rec = t.ref.LowPower[gidx]
 	}
-	rec := recs[gidx]
 	base := Splice(rec.Base, mode, derate, sinceSwitch, t.core)
-	if r := t.m.Residual(featuresFor(rec, other[gidx], mode, derate, sinceSwitch)); r != 0 {
+	if r := t.table.residual(t.m, t.ref, gidx, mode, derate, sinceSwitch); r != 0 {
 		base[idxCycles] = applyCycleBounds(base, mode, base[idxCycles]*(1+r), t.core)
 		base[idxStall] = stallFor(base)
 	}
 	return base
 }
 
-// featuresFor extracts the residual features for one replayed interval
-// from the two fixed-mode recordings and the replay context.
-func featuresFor(rec, other dataset.IntervalRecord, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
+// intervalFeatures extracts the residual features of interval gidx of
+// ref, replayed in mode, from the two fixed-mode recordings and the replay
+// context.
+func intervalFeatures(ref *dataset.TraceTelemetry, gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
+	rec, other := ref.HighPerf[gidx], ref.LowPower[gidx]
+	if mode == uarch.ModeLowPower {
+		rec, other = other, rec
+	}
 	ratio := 1.0
 	if rec.IPC > 0 {
 		ratio = other.IPC / rec.IPC

@@ -211,11 +211,11 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 		}
 		trueBase := telemetry.ExtractBase(delta)
 
-		recs, other := ref.HighPerf, ref.LowPower
+		rec := ref.HighPerf[gidx]
 		if mode == uarch.ModeLowPower {
-			recs, other = ref.LowPower, ref.HighPerf
+			rec = ref.LowPower[gidx]
 		}
-		spliced := Splice(recs[gidx].Base, mode, derate, sinceSwitch, cfg.Core)
+		spliced := Splice(rec.Base, mode, derate, sinceSwitch, cfg.Core)
 		y := trueBase[idxCycles]/spliced[idxCycles] - 1
 		if y > 1 {
 			y = 1
@@ -223,7 +223,7 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 			y = -1
 		}
 		out = append(out, sample{
-			f: featuresFor(recs[gidx], other[gidx], mode, derate, sinceSwitch),
+			f: intervalFeatures(ref, gidx, mode, derate, sinceSwitch),
 			y: y,
 		})
 	}

@@ -219,13 +219,36 @@ func (c *Core) snapshot() *snapshot {
 	// Every future issue probe is at a cycle ≥ dispatch ≥ fc, so a slot
 	// stamped with an earlier cycle can never match again: like a virgin
 	// slot, it only ever reads as stale. Only the live slots are kept.
-	for i, v := range c.slots {
-		if v != slotVirgin && (v>>slotEpochShift)*slotWindow+uint64(i) >= c.fc {
+	//
+	// A slot is stamped with its op's issue cycle, and the op completes at
+	// issue + latency, which retireMax (only ever raised) then covers; a
+	// restored slot came from a snapshot whose retireMax is restored with
+	// it. So a live slot's cycle lies in [fc, retireMax], and only the
+	// ring indices of those cycles are scanned: in ascending order, as two
+	// segments when the span wraps the ring, and the whole ring once the
+	// span covers it.
+	const mask = slotWindow - 1
+	switch lo, hi := c.fc&mask, c.retireMax&mask; {
+	case c.fc > c.retireMax:
+	case c.retireMax-c.fc >= mask:
+		s.keepLive(c, 0, slotWindow)
+	case lo <= hi:
+		s.keepLive(c, lo, hi+1)
+	default:
+		s.keepLive(c, 0, hi+1)
+		s.keepLive(c, lo, slotWindow)
+	}
+	return s
+}
+
+// keepLive appends the live slots among ring indices [lo, hi) to s.
+func (s *snapshot) keepLive(c *Core, lo, hi uint64) {
+	for i := lo; i < hi; i++ {
+		if v := c.slots[i]; v != slotVirgin && (v>>slotEpochShift)*slotWindow+i >= c.fc {
 			s.slotIdx = append(s.slotIdx, uint32(i))
 			s.slotVal = append(s.slotVal, v)
 		}
 	}
-	return s
 }
 
 // restore loads a snapshot into a fresh core, which must be in the mode

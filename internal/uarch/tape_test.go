@@ -310,6 +310,94 @@ func TestCheckpointResumeMatchesRunner(t *testing.T) {
 	}
 }
 
+// fullScanLive is the snapshot's live-slot selection over the whole ring,
+// the reference for its range scan.
+func fullScanLive(c *Core) (idx []uint32, val []uint64) {
+	for i, v := range c.slots {
+		if v != slotVirgin && (v>>slotEpochShift)*slotWindow+uint64(i) >= c.fc {
+			idx = append(idx, uint32(i))
+			val = append(val, v)
+		}
+	}
+	return idx, val
+}
+
+// TestSnapshotRangeScanMatchesFullScan holds the snapshot's range scan to
+// a scan of the whole ring after every interval of a mode and DRAM-derate
+// schedule, on a live runner and a tape runner, and checks the invariant
+// the range rests on: no stamped slot lies past retireMax.
+func TestSnapshotRangeScanMatchesFullScan(t *testing.T) {
+	cfg := DefaultConfig()
+	tr := &trace.Trace{App: trace.NewApplication(5, "snapshot", 6), Seed: 4, NumInstrs: 150_000}
+	const warmup, interval = 20_000, 5_000
+	runners := []*Runner{
+		NewRunner(cfg, ModeHighPerf, trace.NewStream(tr), warmup, interval),
+		RecordTape(cfg, trace.NewStream(tr), warmup).Runner(ModeHighPerf, warmup, interval),
+	}
+	derates := []float64{1, 4, 1, 2.5, 6}
+	for k, r := range runners {
+		intervals, live := 0, 0
+		for i := 0; ; i++ {
+			r.SetMode(Mode(i / 3 % 2))
+			r.SetMemDerate(derates[i%len(derates)])
+			if _, n := r.Next(); n == 0 {
+				break
+			}
+			c := r.c
+			for j, v := range c.slots {
+				if cyc := (v>>slotEpochShift)*slotWindow + uint64(j); v != slotVirgin && cyc > c.retireMax {
+					t.Fatalf("runner %d interval %d: slot %d stamped at cycle %d, past retireMax %d", k, i, j, cyc, c.retireMax)
+				}
+			}
+			s := c.snapshot()
+			idx, val := fullScanLive(c)
+			if !slices.Equal(s.slotIdx, idx) || !slices.Equal(s.slotVal, val) {
+				t.Fatalf("runner %d interval %d (fc %d, retireMax %d): range scan keeps %d slots, full scan %d",
+					k, i, c.fc, c.retireMax, len(s.slotIdx), len(idx))
+			}
+			intervals++
+			live += len(idx)
+		}
+		if intervals < 20 || live == 0 {
+			t.Fatalf("runner %d: %d intervals, %d live slots: the schedule exercises nothing", k, intervals, live)
+		}
+	}
+}
+
+// TestSnapshotRangeScanCases covers the range scan's shapes on synthetic
+// rings: a span inside the ring, one that wraps its end, spans one short
+// of and exactly the whole ring, a one-cycle span and an empty one. Each
+// ring holds stamps up to retireMax, older ones from earlier epochs
+// included, written in cycle order as the timing pass writes them.
+func TestSnapshotRangeScanCases(t *testing.T) {
+	const w = slotWindow
+	base := uint64(5 * w)
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name          string
+		fc, retireMax uint64
+	}{
+		{"inside", base + 100, base + 1_100},
+		{"wraps", base + w - 300, base + w + 700},
+		{"one-short", base + 40, base + 40 + w - 2},
+		{"whole-ring", base + 40, base + 40 + w - 1},
+		{"past-ring", base + 40, base + 3*w},
+		{"one-cycle", base + 77, base + 77},
+		{"empty", base + 900, base + 800},
+	} {
+		c := newTimingCore(DefaultConfig(), ModeHighPerf)
+		c.fc, c.retireMax = tc.fc, tc.retireMax
+		for cyc := tc.fc - 2*w; cyc <= tc.retireMax; cyc += uint64(1 + rng.Intn(40)) {
+			c.slots[cyc&(w-1)] = cyc/w<<slotEpochShift | uint64(1+rng.Intn(4))
+		}
+		s := c.snapshot()
+		idx, val := fullScanLive(c)
+		if !slices.Equal(s.slotIdx, idx) || !slices.Equal(s.slotVal, val) {
+			t.Errorf("%s: range scan keeps %d slots, full scan %d", tc.name, len(s.slotIdx), len(idx))
+		}
+	}
+}
+
 // TestWarmTapeRejectsOtherWarmups pins the warm tape's contract: it cannot
 // stand in for a different warmup or mode.
 func TestWarmTapeRejectsOtherWarmups(t *testing.T) {

@@ -164,6 +164,7 @@ func validateSurrogateBench(path string, v map[string]any) error {
 	numeric := []string{
 		"traces", "deploys",
 		"exact_ns_per_deploy", "surrogate_ns_per_deploy", "speedup",
+		"exact_repeat_ns_per_deploy", "surrogate_repeat_ns_per_deploy", "repeat_speedup",
 		"err_p50", "err_p95", "err_max", "pred_agreement",
 		"samples", "budget",
 	}
@@ -182,8 +183,8 @@ func validateSurrogateBench(path string, v map[string]any) error {
 	if _, ok := v["within_budget"].(bool); !ok {
 		return fmt.Errorf("missing or non-bool within_budget")
 	}
-	fmt.Printf("%s: valid surrogate bench, %.0fx speedup, p95 err %.4f\n",
-		path, v["speedup"].(float64), v["err_p95"].(float64))
+	fmt.Printf("%s: valid surrogate bench, %.0fx speedup (%.0fx on repeats), p95 err %.4f\n",
+		path, v["speedup"].(float64), v["repeat_speedup"].(float64), v["err_p95"].(float64))
 	return nil
 }
 
