@@ -308,3 +308,41 @@ func TestIdenticalFilesClean(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSidedDeclaredKeysWarn: a declared key deleted from one file is
+// reported by name as a warning, like a one-sided benchmark or counter,
+// and the exit status stays 0.
+func TestOneSidedDeclaredKeysWarn(t *testing.T) {
+	for _, c := range []struct {
+		base, cur string
+		want      []string
+	}{
+		{ctrlplaneBase, strings.NewReplacer(`"machines_per_sec":4000,`, ``, `"completed":true,`, ``).Replace(ctrlplaneBase),
+			[]string{"machines_per_sec only in baseline", "completed only in baseline"}},
+		{uarchBase, strings.NewReplacer(`,"ns_per_instr":10`, ``, `,"allocs_per_op":3`, ``).Replace(uarchBase),
+			[]string{"A.ns_per_instr only in baseline", "B.allocs_per_op only in baseline"}},
+		{churnBase, strings.Replace(churnBase, `"leaves":40,`, ``, 1),
+			[]string{"churn05-lease2.leaves only in baseline"}},
+		{resultsBase, strings.Replace(resultsBase, `"seconds":5,`, ``, 1),
+			[]string{"table3.seconds only in baseline"}},
+	} {
+		if c.cur == c.base {
+			t.Fatalf("no key deleted from %s", c.base[:40])
+		}
+		base := writeDoc(t, "base.json", c.base)
+		cur := writeDoc(t, "cur.json", c.cur)
+		code, out := diff(t, base, cur)
+		if code != 0 {
+			t.Errorf("one-sided keys must not fail: exit %d:\n%s", code, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out, "WARN "+w) {
+				t.Errorf("missing warning %q:\n%s", w, out)
+			}
+		}
+		// The same files the other way round warn from the current side.
+		if _, out := diff(t, cur, base); !strings.Contains(out, strings.Replace(c.want[0], "baseline", "current", 1)) {
+			t.Errorf("reversed diff does not warn %q:\n%s", c.want[0], out)
+		}
+	}
+}

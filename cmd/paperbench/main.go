@@ -12,7 +12,7 @@
 // Experiments: corpus, table3, table4, fig4, fig5, fig6, fig7, fig8, fig9,
 // fig10, table5, table6, granularity, guardrail, guardrail-sweep, faults,
 // fleet-rollout, ctrlplane-soak, ctrlplane-churn, uarch, dvfs, ablations,
-// all. The guardrail-sweep study
+// all (an unknown name fails at once). The guardrail-sweep study
 // deploys a guarded-budget controller under every fault class across a
 // grid of guardrail configurations and prints the exposure/PPW tuning
 // frontier; -sweepjson additionally writes the frontier as JSON. The

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"clustergate/internal/experiments"
@@ -91,5 +92,19 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 	err := run(benchOpts{scaleName: "nope", exps: "corpus", quiet: true}, io.Discard, io.Discard)
 	if err == nil {
 		t.Fatal("unknown scale accepted")
+	}
+}
+
+// TestRunRejectsUnknownExperiment: a misspelt -exp name fails before the
+// env is built, naming the unknown experiment and the known ones.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	scale := tinyScale()
+	opts := benchOpts{
+		scaleName: "tiny", scaleOverride: &scale, cacheDir: t.TempDir(),
+		exps: "corpus,fgi7", quiet: true,
+	}
+	err := run(opts, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `"fgi7"`) || !strings.Contains(err.Error(), "fig7") {
+		t.Fatalf("got %v, want an error naming fgi7 and the known experiments", err)
 	}
 }

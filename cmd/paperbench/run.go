@@ -2,12 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,6 +55,16 @@ type benchOpts struct {
 // errInjectedCrash is the failure the failAfter test hook injects.
 var errInjectedCrash = errors.New("injected crash (test hook)")
 
+// experimentNames lists every experiment run selects from, in run order.
+// -exp all selects all of them except surrogate-bench, which exists to
+// measure wall clock and runs only when named.
+var experimentNames = []string{
+	"corpus", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "fig8",
+	"fig9", "fig10", "table5", "table6", "granularity", "guardrail", "faults",
+	"guardrail-sweep", "fleet-rollout", "ctrlplane-soak", "ctrlplane-churn",
+	"uarch", "dvfs", "ablations", "surrogate-bench",
+}
+
 // run executes the selected experiments, writing experiment output to
 // stdout and progress to stderr. Experiment output is buffered per
 // experiment and flushed only on completion, so a crash never emits a
@@ -76,6 +86,23 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown scale %q", opts.scaleName)
 	}
 	scale.Workers = opts.workers
+
+	want := map[string]bool{}
+	for _, e := range strings.Split(opts.exps, ",") {
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experimentNames, e) {
+			return fmt.Errorf("unknown experiment %q (known: all, %s)", e, strings.Join(experimentNames, ", "))
+		}
+		want[e] = true
+	}
+	// sel panics on a name missing from experimentNames, so the list the
+	// check above accepts and the experiments run below cannot drift.
+	sel := func(name string) bool {
+		if !slices.Contains(experimentNames, name) {
+			panic("paperbench: experiment " + name + " is not in experimentNames")
+		}
+		return want[name] || want["all"] && name != "surrogate-bench"
+	}
 
 	stopProfiles, err := obs.StartProfiles(opts.cpuProfile, opts.memProfile)
 	if err != nil {
@@ -109,13 +136,6 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(opts.exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	sel := func(name string) bool { return all || want[name] }
 
 	start := time.Now()
 	var logw io.Writer
@@ -165,7 +185,7 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 	}
 	var surModel *surrogate.Model
 	var surOracle *surrogate.Oracle
-	if simMode != core.SimExact || want["surrogate-bench"] {
+	if simMode != core.SimExact || sel("surrogate-bench") {
 		t0 := time.Now()
 		surModel, err = surrogate.Train(env.HDTR, env.HDTRTel, env.Cfg, surrogate.TrainOptions{
 			Workers: scale.Workers,
@@ -547,10 +567,8 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			}
 			experiments.PrintGuardrailSweep(w, r)
 			fmt.Fprintln(w)
-			if opts.sweepJSONPath != "" {
-				if err := writeSweepJSON(opts.sweepJSONPath, r); err != nil {
-					return nil, err
-				}
+			if err := writeJSON(opts.sweepJSONPath, r); err != nil {
+				return nil, err
 			}
 			m := map[string]float64{
 				"watchdog.ops":    float64(r.WatchdogOps),
@@ -580,10 +598,8 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			}
 			experiments.PrintFleetRollout(w, r)
 			fmt.Fprintln(w)
-			if opts.rolloutJSONPath != "" {
-				if err := writeRolloutJSON(opts.rolloutJSONPath, r); err != nil {
-					return nil, err
-				}
+			if err := writeJSON(opts.rolloutJSONPath, r); err != nil {
+				return nil, err
 			}
 			m := map[string]float64{"machines": float64(r.Machines)}
 			for _, row := range r.Rows {
@@ -610,10 +626,14 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			}
 			experiments.PrintCtrlplane(w, r)
 			fmt.Fprintln(w)
-			if opts.ctrlplaneJSONPath != "" {
-				if err := writeCtrlplaneJSON(opts.ctrlplaneJSONPath, r); err != nil {
-					return nil, err
-				}
+			if err := writeJSON(opts.ctrlplaneJSONPath, &obs.CtrlplaneBench{
+				Schema: obs.CtrlplaneBenchTag, Machines: r.Machines, Shards: r.Shards,
+				Ticks: r.Good.Ticks, Intervals: r.Good.Intervals, Decisions: r.Good.Decisions,
+				WallSeconds: r.WallSeconds, MachinesPerSec: r.MachinesPerSec,
+				DecisionsPerSec: r.DecisionsPerSec, P95DecisionMS: r.P95DecisionMS,
+				Completed: r.Good.Completed, BadCaught: r.Bad.RolledBack,
+			}); err != nil {
+				return nil, err
 			}
 			m := map[string]float64{
 				"machines":       float64(r.Machines),
@@ -644,24 +664,39 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			}
 			experiments.PrintCtrlplaneChurn(w, r)
 			fmt.Fprintln(w)
-			if opts.churnJSONPath != "" {
-				if err := writeCtrlplaneChurnJSON(opts.churnJSONPath, r); err != nil {
-					return nil, err
-				}
+			bench := obs.CtrlplaneChurnBench{
+				Schema: obs.CtrlplaneChurnBenchTag, Machines: r.Machines,
+				WallSeconds: r.WallSeconds, P95DecisionMS: r.P95DecisionMS,
+
+				Arms:          make([]obs.ChurnBenchArm, 0, len(r.Arms)),
+				GoodCompleted: true,
+				BadCaught:     r.Bad.RolledBack && r.Bad.HaltedRing == 0,
 			}
 			m := map[string]float64{"machines": float64(r.Machines)}
-			goodCompleted := 1.0
 			for i := range r.Arms {
 				a := &r.Arms[i]
 				m["completion."+a.Key] = a.CompletionRate()
 				m["stale."+a.Key] = float64(a.Report.StaleQuarantines)
 				m["catchup."+a.Key] = float64(a.Report.CatchUpFlashes)
-				if !a.Report.Completed {
-					goodCompleted = 0
-				}
+				bench.GoodCompleted = bench.GoodCompleted && a.Report.Completed
+				bench.Arms = append(bench.Arms, obs.ChurnBenchArm{
+					Key: a.Key, ChurnRate: a.ChurnRate, LeaseTicks: a.LeaseTicks,
+					Completed: a.Report.Completed, CompletionRate: a.CompletionRate(),
+					Leaves: a.Report.Leaves, Joins: a.Report.Joins,
+					GateDeferrals: a.Report.GateDeferrals,
+
+					CatchUpFlashes:   a.Report.CatchUpFlashes,
+					StaleQuarantines: a.Report.StaleQuarantines,
+				})
 			}
-			m["good.completed"] = goodCompleted
-			if r.Bad.RolledBack && r.Bad.HaltedRing == 0 {
+			if err := writeJSON(opts.churnJSONPath, &bench); err != nil {
+				return nil, err
+			}
+			m["good.completed"] = 0
+			if bench.GoodCompleted {
+				m["good.completed"] = 1
+			}
+			if bench.BadCaught {
 				m["bad.caught"] = 1
 			}
 			return m, nil
@@ -730,7 +765,7 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 	// surrogate-bench is opt-in only (never part of -exp all): its stdout is
 	// deterministic, but it exists to measure wall-clock, which belongs in
 	// -surrogatejson, not in the byte-identical experiment stream.
-	if want["surrogate-bench"] {
+	if sel("surrogate-bench") {
 		runExp("surrogate-bench", true, func(w io.Writer) (map[string]float64, error) {
 			g, err := experiments.BuildGeneralBestRF(env)
 			if err != nil {
@@ -742,10 +777,19 @@ func run(opts benchOpts, stdout, stderr io.Writer) error {
 			}
 			experiments.PrintSurrogateBench(w, r)
 			fmt.Fprintln(w)
-			if opts.surrogateJSONPath != "" {
-				if err := writeSurrogateJSON(opts.surrogateJSONPath, r); err != nil {
-					return nil, err
-				}
+			if err := writeJSON(opts.surrogateJSONPath, &obs.SurrogateBench{
+				Schema: obs.SurrogateBenchTag, Traces: r.Traces, Deploys: r.Deploys,
+				Backend: r.TrainBackend, Samples: r.TrainSamples,
+				ErrP50: r.ErrP50, ErrP95: r.ErrP95, ErrMax: r.ErrMax,
+				PredAgreement: r.PredAgree, Budget: r.Budget, WithinBudget: r.WithinBudget,
+				Speedup: r.Speedup, RepeatSpeedup: r.RepeatSpeedup,
+
+				ExactNSPerDeploy:           r.ExactNSPerDeploy,
+				ExactRepeatNSPerDeploy:     r.ExactRepeatNSPerDeploy,
+				SurrogateNSPerDeploy:       r.ReplayNSPerDeploy,
+				SurrogateRepeatNSPerDeploy: r.ReplayRepeatNSPerDeploy,
+			}); err != nil {
+				return nil, err
 			}
 			return map[string]float64{
 				"err.p50":    r.ErrP50,
@@ -835,120 +879,13 @@ func writeFig8SVG(dir string, rows []experiments.Fig8Row) error {
 	return writeSVG(dir, "fig8-models.svg", c.WriteSVG)
 }
 
-// writeSweepJSON persists the guardrail-sweep frontier as machine-readable
-// JSON (the -sweepjson flag), for CI validation and downstream tooling.
-func writeSweepJSON(path string, r *experiments.GuardrailSweepResult) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+// writeJSON writes an experiment's -*json artifact to path as indented
+// JSON; an empty path writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeRolloutJSON persists the fleet-rollout frontier as machine-readable
-// JSON (the -rolloutjson flag), for CI validation and downstream tooling.
-func writeRolloutJSON(path string, r *experiments.FleetRolloutResult) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeCtrlplaneJSON persists the ctrlplane-soak throughput figures
-// (machines/sec, decisions/sec, p95 decision latency) as machine-readable
-// JSON for CI gating; timings live here and never on stdout.
-func writeCtrlplaneJSON(path string, r *experiments.CtrlplaneResult) error {
-	out := map[string]any{
-		"schema":            "ctrlplane-bench/v1",
-		"machines":          r.Machines,
-		"shards":            r.Shards,
-		"ticks":             r.Good.Ticks,
-		"intervals":         r.Good.Intervals,
-		"decisions":         r.Good.Decisions,
-		"wall_seconds":      r.WallSeconds,
-		"machines_per_sec":  r.MachinesPerSec,
-		"decisions_per_sec": r.DecisionsPerSec,
-		"p95_decision_ms":   r.P95DecisionMS,
-		"completed":         r.Good.Completed,
-		"bad_caught":        r.Bad.RolledBack,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeCtrlplaneChurnJSON persists the churn-tolerance sweep (per-arm
-// completion rates and liveness counts, bad-image catch, p95 decision
-// latency) as machine-readable JSON for CI gating; timings live here and
-// never on stdout.
-func writeCtrlplaneChurnJSON(path string, r *experiments.CtrlplaneChurnResult) error {
-	arms := make([]map[string]any, 0, len(r.Arms))
-	goodCompleted := true
-	for i := range r.Arms {
-		a := &r.Arms[i]
-		if !a.Report.Completed {
-			goodCompleted = false
-		}
-		arms = append(arms, map[string]any{
-			"key":               a.Key,
-			"churn_rate":        a.ChurnRate,
-			"lease_ticks":       a.LeaseTicks,
-			"completed":         a.Report.Completed,
-			"completion_rate":   a.CompletionRate(),
-			"leaves":            a.Report.Leaves,
-			"joins":             a.Report.Joins,
-			"catch_up_flashes":  a.Report.CatchUpFlashes,
-			"stale_quarantines": a.Report.StaleQuarantines,
-			"gate_deferrals":    a.Report.GateDeferrals,
-		})
-	}
-	out := map[string]any{
-		"schema":          "ctrlplane-churn-bench/v1",
-		"machines":        r.Machines,
-		"arms":            arms,
-		"good_completed":  goodCompleted,
-		"bad_caught":      r.Bad.RolledBack && r.Bad.HaltedRing == 0,
-		"wall_seconds":    r.WallSeconds,
-		"p95_decision_ms": r.P95DecisionMS,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeSurrogateJSON persists the surrogate-bench comparison (speedup,
-// error distribution, agreement) as machine-readable JSON for CI gating;
-// timings live here and never on stdout.
-func writeSurrogateJSON(path string, r *experiments.SurrogateBenchResult) error {
-	out := map[string]any{
-		"schema":                         "surrogate-bench/v2",
-		"traces":                         r.Traces,
-		"deploys":                        r.Deploys,
-		"exact_ns_per_deploy":            r.ExactNSPerDeploy,
-		"exact_repeat_ns_per_deploy":     r.ExactRepeatNSPerDeploy,
-		"surrogate_ns_per_deploy":        r.ReplayNSPerDeploy,
-		"surrogate_repeat_ns_per_deploy": r.ReplayRepeatNSPerDeploy,
-		"speedup":                        r.Speedup,
-		"repeat_speedup":                 r.RepeatSpeedup,
-		"err_p50":                        r.ErrP50,
-		"err_p95":                        r.ErrP95,
-		"err_max":                        r.ErrMax,
-		"pred_agreement":                 r.PredAgree,
-		"samples":                        r.TrainSamples,
-		"backend":                        r.TrainBackend,
-		"budget":                         r.Budget,
-		"within_budget":                  r.WithinBudget,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return obs.WriteJSON(path, v)
 }
 
 func writeSVG(dir, name string, render func(io.Writer) error) error {

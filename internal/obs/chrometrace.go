@@ -108,5 +108,5 @@ func (m *Manifest) chromeEvents() *chromeTrace {
 // WriteChromeTrace writes the manifest's span tree as a Chrome
 // trace-event JSON file (see chromeEvents for the format).
 func (m *Manifest) WriteChromeTrace(path string) error {
-	return writeJSONFile(path, m.chromeEvents())
+	return WriteJSON(path, m.chromeEvents())
 }

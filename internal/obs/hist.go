@@ -142,11 +142,11 @@ func (c histCounts) quantileNS(q float64) float64 {
 // log2-bucket estimates (see Histogram); Max is the upper bound of the
 // highest occupied bucket.
 type HistogramSnapshot struct {
-	Count  int64   `json:"count"`
+	Count  int64   `json:"count" gate:"count"`
 	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	P50MS  float64 `json:"p50_ms" gate:"lower"`
+	P95MS  float64 `json:"p95_ms" gate:"lower"`
+	P99MS  float64 `json:"p99_ms" gate:"lower"`
 	MaxMS  float64 `json:"max_ms"`
 }
 

@@ -7,9 +7,9 @@ import "sync"
 // Flat float maps keep the schema uniform across experiments so trend
 // tooling can diff runs without per-experiment parsers.
 type Result struct {
-	Name    string             `json:"name"`
-	Seconds float64            `json:"seconds"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Name    string             `json:"name" gate:"id"`
+	Seconds float64            `json:"seconds" gate:"lower,warn"`
+	Metrics map[string]float64 `json:"metrics,omitempty" gate:"metric"`
 }
 
 // ResultsFile is the on-disk form of a results collection.
@@ -54,5 +54,5 @@ func (rs *Results) Snapshot() ResultsFile {
 // WriteFile writes the collected results as indented JSON.
 func (rs *Results) WriteFile(path string) error {
 	snap := rs.Snapshot()
-	return writeJSONFile(path, &snap)
+	return WriteJSON(path, &snap)
 }

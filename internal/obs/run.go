@@ -177,24 +177,25 @@ func (s *Span) record(runStart, runEnd time.Time) *SpanRecord {
 type Manifest struct {
 	Tool        string    `json:"tool"`
 	Args        []string  `json:"args,omitempty"`
-	Seed        int64     `json:"seed"`
+	Seed        int64     `json:"seed" gate:"signed"`
 	Scale       string    `json:"scale,omitempty"`
-	Workers     int       `json:"workers"`
+	Workers     int       `json:"workers" gate:"signed"`
 	GOMAXPROCS  int       `json:"gomaxprocs"`
 	GoVersion   string    `json:"go_version"`
 	Start       time.Time `json:"start"`
 	End         time.Time `json:"end"`
-	WallSeconds float64   `json:"wall_seconds"`
+	WallSeconds float64   `json:"wall_seconds" gate:"lower,warn"`
 	// PeakRSSMB is the process's peak resident set size, in MiB, when the
 	// manifest was rendered (getrusage ru_maxrss): whole-process memory,
 	// including everything before the run started. Omitted where getrusage
 	// is unavailable or fails.
-	PeakRSSMB float64          `json:"peak_rss_mb,omitempty"`
-	Spans     []*SpanRecord    `json:"spans,omitempty"`
-	Counters  map[string]int64 `json:"counters,omitempty"`
+	PeakRSSMB float64       `json:"peak_rss_mb,omitempty"`
+	Spans     []*SpanRecord `json:"spans,omitempty"`
+	// Counters are the run's counter deltas, keyed by instrument name.
+	Counters map[string]int64 `json:"counters,omitempty" gate:"count,skip"`
 	// Histograms are the run's latency-histogram deltas (samples observed
 	// during this run only), keyed by instrument name.
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty" gate:"skip"`
 }
 
 // SpanRecord is one span in the manifest; times are milliseconds relative
@@ -208,7 +209,7 @@ type SpanRecord struct {
 
 // WriteFile writes the manifest as indented JSON.
 func (m *Manifest) WriteFile(path string) error {
-	return writeJSONFile(path, m)
+	return WriteJSON(path, m)
 }
 
 // current is the process's active run; Start/StartLeaf route through it.
@@ -227,7 +228,9 @@ func Start(name string) *Span { return Current().Start(name) }
 // StartLeaf opens a leaf span on the active run; see Run.StartLeaf.
 func StartLeaf(name string) *Span { return Current().StartLeaf(name) }
 
-func writeJSONFile(path string, v any) error {
+// WriteJSON writes v to path as two-space-indented JSON and a newline,
+// the form of every artifact a run writes.
+func WriteJSON(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err

@@ -75,11 +75,15 @@ echo "== fuzz control-plane checkpoint restore (FuzzCheckpointRestore, 10s)"
 # checkpoint and its out-of-range edits, built in the test.
 go test -run '^$' -fuzz '^FuzzCheckpointRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ctrlplane/
 
+# The BENCH files obsdiff gates, named once for the stash, the
+# validation and the gate below.
+gated=(BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json)
+
 # Stash the checked-in baselines before the steps below regenerate the
 # BENCH files in place; obsdiff compares fresh against stashed at the end.
 baseline_dir=$(mktemp -d)
 trap 'rm -rf "$baseline_dir"' EXIT
-for f in BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json; do
+for f in "${gated[@]}"; do
     [ -f "$f" ] && cp "$f" "$baseline_dir/$f"
 done
 
@@ -118,10 +122,8 @@ go run ./cmd/paperbench -scale quick -exp surrogate-bench -seed 1 -q \
     > /dev/null
 
 echo "== validate emitted JSON"
-go run scripts/validate-json.go BENCH_paperbench.json BENCH_paperbench_results.json \
-    BENCH_guardrail_sweep.json BENCH_fleet_rollout.json BENCH_uarch.json \
-    BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json \
-    BENCH_events.jsonl BENCH_trace.json
+go run scripts/validate-json.go "${gated[@]}" \
+    BENCH_guardrail_sweep.json BENCH_fleet_rollout.json BENCH_events.jsonl BENCH_trace.json
 
 echo "== obsdiff perf gate (fresh run vs checked-in baselines)"
 # -tol 1.0 allows timing to double before failing: the quick run shares a
@@ -129,7 +131,7 @@ echo "== obsdiff perf gate (fresh run vs checked-in baselines)"
 # catastrophic regressions, not a microbenchmark. Counters and experiment
 # metrics are held (near-)exact — see cmd/obsdiff for the tolerances and
 # the default skip globs (cache-state and core-count dependent keys).
-for f in BENCH_uarch.json BENCH_paperbench.json BENCH_paperbench_results.json BENCH_surrogate.json BENCH_ctrlplane.json BENCH_ctrlplane_churn.json; do
+for f in "${gated[@]}"; do
     if [ -f "$baseline_dir/$f" ]; then
         go run ./cmd/obsdiff -tol 1.0 "$baseline_dir/$f" "$f"
     else

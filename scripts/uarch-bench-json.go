@@ -19,22 +19,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"clustergate/internal/obs"
 )
 
-type bench struct {
-	Iterations     int64   `json:"iterations"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	InstrsPerSec   float64 `json:"instructions_per_sec"`
-	NsPerInstr     float64 `json:"ns_per_instr"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	HasInstrs      bool    `json:"-"`
-	HasNsPerInstr  bool    `json:"-"`
-	HasAllocsPerOp bool    `json:"-"`
-}
-
 func main() {
-	out := map[string]*bench{}
+	out := obs.UarchBench{Benchmarks: map[string]obs.UarchBenchmark{}, Schema: obs.UarchBenchTag}
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -49,7 +39,8 @@ func main() {
 				name = name[:i]
 			}
 		}
-		b := &bench{}
+		var b obs.UarchBenchmark
+		var hasInstrs, hasNsPerInstr, hasAllocsPerOp bool
 		b.Iterations, _ = strconv.ParseInt(fields[1], 10, 64)
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -61,21 +52,21 @@ func main() {
 				b.NsPerOp = v
 			case "instrs/s":
 				b.InstrsPerSec = v
-				b.HasInstrs = true
+				hasInstrs = true
 			case "ns/instr":
 				b.NsPerInstr = v
-				b.HasNsPerInstr = true
+				hasNsPerInstr = true
 			case "B/op":
 				b.BytesPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
-				b.HasAllocsPerOp = true
+				hasAllocsPerOp = true
 			}
 		}
-		if !b.HasInstrs || !b.HasNsPerInstr {
+		if !hasInstrs || !hasNsPerInstr {
 			fail("%s: missing instrs/s or ns/instr custom metrics (stale bench harness?)", name)
 		}
-		if !b.HasAllocsPerOp {
+		if !hasAllocsPerOp {
 			fail("%s: missing allocs/op (run with -benchmem)", name)
 		}
 		// At 0 allocs/op the bench loop itself allocated nothing; a few
@@ -85,21 +76,17 @@ func main() {
 		if b.AllocsPerOp == 0 {
 			b.BytesPerOp = 0
 		}
-		out[name] = b
+		out.Benchmarks[name] = b
 	}
 	if err := sc.Err(); err != nil {
 		fail("reading stdin: %v", err)
 	}
-	if len(out) == 0 {
+	if len(out.Benchmarks) == 0 {
 		fail("no Benchmark lines found on stdin")
-	}
-	doc := map[string]any{
-		"schema":     "uarch-bench/v1",
-		"benchmarks": out,
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "\t")
-	if err := enc.Encode(doc); err != nil {
+	if err := enc.Encode(&out); err != nil {
 		fail("encoding: %v", err)
 	}
 }

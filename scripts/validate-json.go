@@ -16,10 +16,15 @@
 //   - a JSON object with a "traceEvents" array — a Chrome trace: every
 //     event needs name/ph/pid/tid, "X" events need ts and non-negative
 //     dur.
-//   - a JSON object with a "gomaxprocs" field — a run manifest: wall
-//     clock, integer counters, and a positive peak_rss_mb unless the
-//     platform could not report one (then the field is absent).
-//   - the benchmark artifacts that carry a "schema" tag.
+//   - an artifact declared in internal/obs (see its schema.go): the
+//     uarch, surrogate, ctrlplane and ctrlplane-churn BENCH files by
+//     their schema tag, a results file by its "results" array, a run
+//     manifest by its "tool". Every declared key must be present unless
+//     optional, of its declared JSON type, and within its declared bounds
+//     (non-negative, integral counts, completion rates at most 1, a
+//     present optional key not its zero value, collections non-empty) —
+//     so a manifest's peak_rss_mb is positive or absent, and a uarch file
+//     needs at least one benchmark.
 //   - anything else — plain JSON well-formedness, as before.
 //
 // It exits nonzero on the first unreadable or malformed file and prints a
@@ -32,6 +37,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"clustergate/internal/obs"
 )
 
 func main() {
@@ -64,17 +71,8 @@ func validate(path string) error {
 		if events, ok := v["traceEvents"].([]any); ok {
 			return validateChromeTrace(path, events)
 		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "surrogate-bench/") {
-			return validateSurrogateBench(path, v)
-		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "ctrlplane-churn-bench/") {
-			return validateCtrlplaneChurnBench(path, v)
-		}
-		if s, ok := v["schema"].(string); ok && strings.HasPrefix(s, "ctrlplane-bench/") {
-			return validateCtrlplaneBench(path, v)
-		}
-		if _, ok := v["gomaxprocs"]; ok {
-			return validateRunManifest(path, v)
+		if s := obs.Detect(v); s != nil {
+			return validateDeclared(path, s, v)
 		}
 		fmt.Printf("%s: valid JSON object, %d top-level keys\n", path, len(v))
 	case []any:
@@ -125,150 +123,21 @@ func validateEventLog(path string, data []byte) error {
 	return nil
 }
 
-// validateRunManifest checks an obs run manifest (paperbench -manifest):
-// the wall clock must be present and finite, every counter an integer,
-// and the process's peak resident set size positive — or absent, which is
-// how a manifest says the platform could not report it.
-func validateRunManifest(path string, v map[string]any) error {
-	for _, k := range []string{"wall_seconds", "gomaxprocs"} {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
+// validateDeclared checks every declared key of schema s in doc.
+func validateDeclared(path string, s *obs.Schema, doc map[string]any) error {
+	var err error
+	keys := 0
+	s.Walk([]map[string]any{doc}, func(k *obs.Key) bool {
+		if err == nil {
+			err = k.Check(k.Vals[0])
+			keys++
 		}
-		if n != n || n < 0 || n > 1e15 {
-			return fmt.Errorf("field %q is negative, NaN or unbounded: %v", k, n)
-		}
+		return err == nil && k.Vals[0] != nil
+	})
+	if err != nil {
+		return err
 	}
-	rss := "unavailable"
-	if r, present := v["peak_rss_mb"]; present {
-		n, ok := r.(float64)
-		if !ok || n <= 0 || n > 1e9 {
-			return fmt.Errorf("peak_rss_mb is %v, want a positive MiB figure or no field", r)
-		}
-		rss = fmt.Sprintf("%.0f MiB", n)
-	}
-	counters, _ := v["counters"].(map[string]any)
-	for name, c := range counters {
-		if n, ok := c.(float64); !ok || n != float64(int64(n)) {
-			return fmt.Errorf("counter %q is not an integer: %v", name, c)
-		}
-	}
-	fmt.Printf("%s: valid run manifest, %d counters, peak RSS %s\n", path, len(counters), rss)
-	return nil
-}
-
-// validateSurrogateBench checks the BENCH_surrogate.json artifact: every
-// numeric field the obsdiff gate reads must be present and finite, and
-// the within_budget verdict must be a bool.
-func validateSurrogateBench(path string, v map[string]any) error {
-	numeric := []string{
-		"traces", "deploys",
-		"exact_ns_per_deploy", "surrogate_ns_per_deploy", "speedup",
-		"exact_repeat_ns_per_deploy", "surrogate_repeat_ns_per_deploy", "repeat_speedup",
-		"err_p50", "err_p95", "err_max", "pred_agreement",
-		"samples", "budget",
-	}
-	for _, k := range numeric {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	if _, ok := v["backend"].(string); !ok {
-		return fmt.Errorf("missing backend")
-	}
-	if _, ok := v["within_budget"].(bool); !ok {
-		return fmt.Errorf("missing or non-bool within_budget")
-	}
-	fmt.Printf("%s: valid surrogate bench, %.0fx speedup (%.0fx on repeats), p95 err %.4f\n",
-		path, v["speedup"].(float64), v["repeat_speedup"].(float64), v["err_p95"].(float64))
-	return nil
-}
-
-// validateCtrlplaneBench checks the BENCH_ctrlplane.json artifact: every
-// numeric field the obsdiff gate reads must be present and finite, and
-// the campaign verdicts must be bools.
-func validateCtrlplaneBench(path string, v map[string]any) error {
-	numeric := []string{
-		"machines", "shards", "ticks", "intervals", "decisions",
-		"wall_seconds", "machines_per_sec", "decisions_per_sec",
-		"p95_decision_ms",
-	}
-	for _, k := range numeric {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	for _, k := range []string{"completed", "bad_caught"} {
-		if _, ok := v[k].(bool); !ok {
-			return fmt.Errorf("missing or non-bool %s", k)
-		}
-	}
-	fmt.Printf("%s: valid ctrlplane bench, %.0f machines/s, %.0f decisions/s, p95 %.3fms\n",
-		path, v["machines_per_sec"].(float64), v["decisions_per_sec"].(float64),
-		v["p95_decision_ms"].(float64))
-	return nil
-}
-
-// validateCtrlplaneChurnBench checks the BENCH_ctrlplane_churn.json
-// artifact: every arm must carry the fields the obsdiff gate reads, with
-// completion rates in [0, 1], and the campaign verdicts must be bools.
-func validateCtrlplaneChurnBench(path string, v map[string]any) error {
-	for _, k := range []string{"machines", "wall_seconds", "p95_decision_ms"} {
-		n, ok := v[k].(float64)
-		if !ok {
-			return fmt.Errorf("missing or non-numeric field %q", k)
-		}
-		if n != n || n < 0 {
-			return fmt.Errorf("field %q is negative or NaN: %v", k, n)
-		}
-	}
-	for _, k := range []string{"good_completed", "bad_caught"} {
-		if _, ok := v[k].(bool); !ok {
-			return fmt.Errorf("missing or non-bool %s", k)
-		}
-	}
-	arms, ok := v["arms"].([]any)
-	if !ok || len(arms) == 0 {
-		return fmt.Errorf("missing or empty arms array")
-	}
-	for i, a := range arms {
-		arm, ok := a.(map[string]any)
-		if !ok {
-			return fmt.Errorf("arms[%d]: not an object", i)
-		}
-		if _, ok := arm["key"].(string); !ok {
-			return fmt.Errorf("arms[%d]: missing key", i)
-		}
-		if _, ok := arm["completed"].(bool); !ok {
-			return fmt.Errorf("arms[%d]: missing or non-bool completed", i)
-		}
-		numeric := []string{
-			"churn_rate", "lease_ticks", "completion_rate",
-			"leaves", "joins", "catch_up_flashes", "stale_quarantines", "gate_deferrals",
-		}
-		for _, k := range numeric {
-			n, ok := arm[k].(float64)
-			if !ok {
-				return fmt.Errorf("arms[%d]: missing or non-numeric field %q", i, k)
-			}
-			if n != n || n < 0 {
-				return fmt.Errorf("arms[%d]: field %q is negative or NaN: %v", i, k, n)
-			}
-		}
-		if cr := arm["completion_rate"].(float64); cr > 1 {
-			return fmt.Errorf("arms[%d]: completion_rate %v > 1", i, cr)
-		}
-	}
-	fmt.Printf("%s: valid ctrlplane churn bench, %d arms, p95 %.3fms\n",
-		path, len(arms), v["p95_decision_ms"].(float64))
+	fmt.Printf("%s: valid %s, %d declared keys checked\n", path, s.Name, keys)
 	return nil
 }
 
