@@ -40,11 +40,15 @@ var (
 // order. Given the global interval index, the mode in effect and the DRAM
 // derate factor for the interval, NextInterval returns the interval's
 // base-signal vector (the telemetry.ExtractBase layout), or nil once the
-// trace runs dry. The exact source reads the interval from its trace's
-// deployment trie or executes it on the cycle model; the surrogate package
-// estimates it from the trace's recorded fixed-mode telemetry.
-// Implementations must be deterministic, and the deployment owns each
-// returned slice.
+// trace runs dry. The exact source returns the vector its trace's
+// deployment trie stores, simulating it on the cycle model first if no
+// earlier deployment did; the surrogate package returns the estimate its
+// recording's table stores, computing it from the recorded fixed-mode
+// telemetry first if no earlier deployment did. Implementations must be
+// deterministic. The returned vectors are read-only: the deployment only
+// reads them, and the source must leave them unchanged until the
+// deployment ends, so both sources hand out their stored vectors, shared
+// with every other deployment, without copying them.
 type IntervalSource interface {
 	NextInterval(gidx int, mode uarch.Mode, derate float64) []float64
 }
@@ -206,9 +210,13 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 
 	var window [][]float64
 	var prevTrue, prevObserved []float64
+	// ev is the current interval's true events, converted in place.
+	var ev uarch.Events
 	lowIntervals, totalIntervals := 0, 0
-	// pending[w] is the mode decided for window w (two windows ahead).
-	pending := make(map[int]uarch.Mode)
+	// pending[w] is the mode decided for window w, two windows ahead. Every
+	// window from 2 on has one: the loop stops at the first short window,
+	// and each full window before the last two decides.
+	pending := make([]uarch.Mode, nWindows)
 	prevPred := 0
 	gidx := 0 // global interval index, the fault schedule's clock
 	mode := uarch.ModeHighPerf
@@ -216,7 +224,8 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 	for w := 0; w < nWindows; w++ {
 		// Apply the decision made two windows ago (Figure 3 pipeline),
 		// overridden to the safe mode while the guardrail backoff holds.
-		if m, ok := pending[w]; ok {
+		if w >= 2 {
+			m := pending[w]
 			if state != nil && state.backoff > 0 {
 				m = uarch.ModeHighPerf
 			}
@@ -224,7 +233,6 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 				res.Switches++
 				mode = m
 			}
-			delete(pending, w)
 		}
 		if mode == uarch.ModeLowPower {
 			applied[w] = 1
@@ -262,8 +270,8 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			window = append(window, observed)
 			// Power accounting always follows true execution: faults
 			// corrupt the telemetry fabric, not the pipeline.
-			ev := telemetry.BaseToEvents(trueBase)
-			res.Adaptive.Add(pm, ev, mode)
+			telemetry.BaseToEvents(trueBase, &ev)
+			res.Adaptive.Add(pm, &ev, mode)
 			gated := mode == uarch.ModeLowPower
 			if gated {
 				lowIntervals++
@@ -275,7 +283,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			if flight != nil {
 				sample := obs.FlightSample{
 					T:     int64(gidx),
-					Power: pm.Energy(ev, mode),
+					Power: pm.Energy(&ev, mode),
 				}
 				if ev.Cycles > 0 {
 					sample.IPC = float64(ev.Instrs) / float64(ev.Cycles)
@@ -341,6 +349,10 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 				}
 				pred, _ = ti.Prediction(w, pred, prevPred)
 			}
+			if res.Pred == nil {
+				// Every later full window decides too.
+				res.Pred, res.Truth = make([]int, 0, nWindows-2), make([]int, 0, nWindows-2)
+			}
 			res.Pred = append(res.Pred, pred)
 			res.Truth = append(res.Truth, windowTruth(ref, w+2, k, g.SLA))
 			prevPred = pred
@@ -352,10 +364,9 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 		}
 	}
 
-	// Reference span: the recorded always-high run.
-	for i := 0; i < totalIntervals && i < len(ref.HighPerf); i++ {
-		res.Reference.Add(pm, telemetry.BaseToEvents(ref.HighPerf[i].Base), uarch.ModeHighPerf)
-	}
+	// Reference span: the recorded always-high run, summed once per
+	// recording and power model.
+	res.Reference = ref.HighPerfSpan(pm, totalIntervals)
 	if totalIntervals > 0 {
 		res.LowResidency = float64(lowIntervals) / float64(totalIntervals)
 	}

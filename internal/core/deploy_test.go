@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -243,5 +244,79 @@ func TestDeployTapeFollowsConfig(t *testing.T) {
 	// re-recorded for the first warmup again.
 	if n := records() - before; n != 3 {
 		t.Errorf("recorded %d tapes, want 3", n)
+	}
+}
+
+// keptSource hands out its inner source's vectors and logs each one with
+// a copy taken as it is handed out.
+type keptSource struct {
+	inner     IntervalSource
+	out, kept *[][]float64
+}
+
+func (s *keptSource) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
+	v := s.inner.NextInterval(gidx, mode, derate)
+	if v != nil {
+		*s.out = append(*s.out, v)
+		*s.kept = append(*s.kept, slices.Clone(v))
+	}
+	return v
+}
+
+// TestDeployLeavesSourceVectorsUnchanged holds DeployFrom to the
+// IntervalSource contract that the vectors a source hands out are
+// read-only. The deployments read their trace's deployment trie, whose
+// vectors every deployment of the trace shares, twice over, so the second
+// round is served from the first round's nodes. They run under a plan
+// that drops, freezes and glitches telemetry and derates DRAM, with the
+// guardrail on and an event log installed. Afterwards every vector handed
+// out must equal, bit for bit, its copy.
+func TestDeployLeavesSourceVectorsUnchanged(t *testing.T) {
+	s := newDeploySuite(t, 13)
+	inj, err := fault.NewInjector(fault.Plan{Seed: 17, Rules: []fault.Rule{
+		{Class: fault.TelemetryDrop, Rate: 0.1, Burst: 2},
+		{Class: fault.CounterFreeze, Rate: 0.1, Burst: 3},
+		{Class: fault.CounterGlitch, Rate: 0.1, Burst: 2},
+		{Class: fault.DRAMDerate, Rate: 0.2, Burst: 3, Factor: 4},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := obs.NewEventLog()
+	obs.SetEventLog(log)
+	defer obs.SetEventLog(nil)
+	gr := DefaultGuardrail()
+	opts := DeployOptions{Guardrail: &gr, Injector: inj}
+
+	var out, kept [][]float64
+	var injected int64
+	trips := 0
+	for round := 0; round < 2; round++ {
+		for _, g := range s.ctrls {
+			k := g.Granularity / g.Interval
+			for i, tr := range s.traces {
+				trie := deployTape(tr, s.cfg).trie(g.Interval, s.tel[i].Intervals()/k*k).source()
+				res, err := DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
+					return &keptSource{inner: trie, out: &out, kept: &kept}
+				})
+				trie.close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				injected += res.InjectedFaults
+				trips += res.GuardrailTrips
+			}
+		}
+	}
+	if injected == 0 || trips == 0 || log.Len() == 0 {
+		t.Fatalf("%d injected faults, %d guardrail trips, %d events: the deployments must exercise all three",
+			injected, trips, log.Len())
+	}
+	for j, v := range out {
+		for c := range v {
+			if math.Float64bits(v[c]) != math.Float64bits(kept[j][c]) {
+				t.Fatalf("interval vector %d, signal %d: handed out as %v, now %v", j, c, kept[j][c], v[c])
+			}
+		}
 	}
 }

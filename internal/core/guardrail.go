@@ -127,15 +127,25 @@ func (s *guardrailState) noteBlackout() {
 	}
 }
 
-// observe inspects one gated interval's events and updates the
-// misprediction-streak (saturation) trip state.
+// Positions in the base vector (telemetry.BaseNames order) of the four
+// signals the saturation proxy reads.
+const (
+	baseInstrs    = 16
+	baseBusy      = 27
+	baseReadyWait = 28
+	baseCycles    = 39
+)
+
+// observe inspects one gated interval's base vector and updates the
+// misprediction-streak (saturation) trip state. It reads the four signals
+// as event counts, converted as telemetry.BaseToEvents converts them.
 func (s *guardrailState) observe(base []float64) {
-	ev := telemetry.BaseToEvents(base)
-	if ev.Cycles == 0 || ev.Instrs == 0 {
+	cycles, instrs := uint64(base[baseCycles]), uint64(base[baseInstrs])
+	if cycles == 0 || instrs == 0 {
 		return
 	}
-	busyFrac := float64(ev.BusyCycles) / float64(ev.Cycles)
-	readyWait := float64(ev.ReadyWaitCycles) / float64(ev.Instrs)
+	busyFrac := float64(uint64(base[baseBusy])) / float64(cycles)
+	readyWait := float64(uint64(base[baseReadyWait])) / float64(instrs)
 	if busyFrac >= s.cfg.SaturationThreshold && readyWait >= s.cfg.ReadyWaitPerInstr {
 		s.degraded++
 		if s.degraded >= s.cfg.TripIntervals {

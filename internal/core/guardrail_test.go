@@ -24,6 +24,17 @@ func healthyBase() []float64 {
 	})
 }
 
+// TestGuardrailBaseIndices pins the positions the saturation proxy reads
+// to the telemetry.BaseNames order.
+func TestGuardrailBaseIndices(t *testing.T) {
+	for idx, name := range map[int]string{baseInstrs: "instructions", baseBusy: "busy_cycles",
+		baseReadyWait: "ready_wait_cycles", baseCycles: "cycles"} {
+		if telemetry.BaseNames[idx] != name {
+			t.Errorf("index %d: the guardrail expects %q, telemetry has %q", idx, name, telemetry.BaseNames[idx])
+		}
+	}
+}
+
 func TestGuardrailTripsOnSustainedSaturation(t *testing.T) {
 	gr := DefaultGuardrail()
 	s := guardrailState{cfg: gr}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -125,8 +124,8 @@ type trieSource struct {
 }
 
 // NextInterval returns the interval after the current node under the step
-// (mode, derate): a copy of the stored vector on a hit, otherwise the
-// simulated one.
+// (mode, derate): the stored vector on a hit, otherwise the one just
+// simulated and stored. The deployment shares it and only reads it.
 func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
 	if s.r == nil {
 		kid, dry := s.lookup(mode, derate)
@@ -136,7 +135,7 @@ func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []floa
 		if kid != nil {
 			trieHits.Inc()
 			s.advance(kid)
-			return slices.Clone(kid.base)
+			return kid.base
 		}
 		s.resume()
 	}
@@ -158,7 +157,7 @@ func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []floa
 	trieBytes.Add(int64(size))
 	trieNodes.Inc()
 	s.advance(kid)
-	return slices.Clone(kid.base)
+	return kid.base
 }
 
 // lookup finds the current node's child for the step and whether the

@@ -260,3 +260,35 @@ func TestTrieConcurrentDeployments(t *testing.T) {
 		}
 	}
 }
+
+// TestTrieHitAllocatesNothing: a deployment whose schedule the trie
+// already stores is served through trieSource.NextInterval without an
+// allocation, and under the read lock only.
+func TestTrieHitAllocatesNothing(t *testing.T) {
+	s := newDeploySuite(t, 15)
+	g := s.ctrls[0]
+	_, sched, err := s.liveSchedule(g, 0, DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DeployWithOptions(g, s.traces[0], s.tel[0], s.cfg, s.pm, DeployOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	k := g.Granularity / g.Interval
+	src := deployTape(s.traces[0], s.cfg).trie(g.Interval, s.tel[0].Intervals()/k*k).source()
+	defer src.close()
+	walk := func() {
+		src.n, src.depth, src.cp, src.since = &src.t.root, 0, nil, src.since[:0]
+		for _, st := range sched {
+			if src.NextInterval(0, st.mode, st.derate) == nil {
+				t.Fatal("the trie ran dry inside a stored schedule")
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, walk); a != 0 {
+		t.Errorf("serving %d stored intervals allocates %.1f times", len(sched), a)
+	}
+	if src.locked || src.r != nil {
+		t.Error("a stored schedule left the trie")
+	}
+}

@@ -9,11 +9,13 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"clustergate/internal/ml"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
+	"clustergate/internal/power"
 	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
 	"clustergate/internal/uarch"
@@ -50,6 +52,9 @@ type IntervalRecord struct {
 
 // TraceTelemetry holds both fixed-mode recordings of one trace. The trace
 // is identified by names (not pointers) so recordings serialise cleanly.
+// Deployments memoise what they derive from a recording (HighPerfSpan, the
+// surrogate's residual tables), so a recording must not be modified once
+// it has been deployed.
 type TraceTelemetry struct {
 	App       string
 	Benchmark string
@@ -58,6 +63,13 @@ type TraceTelemetry struct {
 	Seed      int64
 	HighPerf  []IntervalRecord
 	LowPower  []IntervalRecord
+
+	// highPerfSpans holds HighPerfSpan's prefix spans per power model.
+	// Unexported, it is no part of the telemetry cache's gob encoding.
+	highPerfSpans struct {
+		mu      sync.Mutex
+		byModel map[power.Model][]power.Span
+	}
 }
 
 // Intervals returns the usable interval count (the shorter of the modes).

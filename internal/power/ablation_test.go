@@ -46,9 +46,9 @@ func TestEnergyAdditivity(t *testing.T) {
 		Cycles: 4000, Instrs: 3000, L1DHits: 500, FPOps: 100,
 		L2Misses: 50, Mispredicts: 10,
 	}
-	ea := m.Energy(a, uarch.ModeHighPerf)
-	eb := m.Energy(b, uarch.ModeHighPerf)
-	es := m.Energy(sum, uarch.ModeHighPerf)
+	ea := m.Energy(&a, uarch.ModeHighPerf)
+	eb := m.Energy(&b, uarch.ModeHighPerf)
+	es := m.Energy(&sum, uarch.ModeHighPerf)
 	if diff := es - (ea + eb); diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("energy not additive: %v + %v != %v", ea, eb, es)
 	}

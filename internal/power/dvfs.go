@@ -51,7 +51,7 @@ const leakageFrac = 0.25
 func (m *Model) EnergyAt(ev uarch.Events, mode uarch.Mode, op OperatingPoint) float64 {
 	v2 := op.Voltage * op.Voltage
 	staticTotal := m.staticPerCycle(mode) * float64(ev.Cycles)
-	dynamic := (m.Energy(ev, mode) - staticTotal) * v2
+	dynamic := (m.Energy(&ev, mode) - staticTotal) * v2
 	clockTree := staticTotal * (1 - leakageFrac) * v2
 	leakage := staticTotal * leakageFrac * op.Voltage * (2.0 / op.FreqGHz)
 	return dynamic + clockTree + leakage

@@ -54,8 +54,9 @@ func (m *Model) staticPerCycle(mode uarch.Mode) float64 {
 }
 
 // Energy returns the total energy consumed over an interval of events
-// executed in the given mode.
-func (m *Model) Energy(ev uarch.Events, mode uarch.Mode) float64 {
+// executed in the given mode. ev is read, not kept; it is passed by
+// pointer because a deployment accounts every interval it runs.
+func (m *Model) Energy(ev *uarch.Events, mode uarch.Mode) float64 {
 	e := m.staticPerCycle(mode) * float64(ev.Cycles)
 	e += m.PerUop * float64(ev.Instrs+ev.RegTransferUops)
 	e += m.PerL1DAccess * float64(ev.L1DHits+ev.L1DMisses)
@@ -73,7 +74,7 @@ func (m *Model) Power(ev uarch.Events, mode uarch.Mode) float64 {
 	if ev.Cycles == 0 {
 		return 0
 	}
-	return m.Energy(ev, mode) / float64(ev.Cycles)
+	return m.Energy(&ev, mode) / float64(ev.Cycles)
 }
 
 // PPW returns instructions per cycle per watt, the paper's figure of merit.
@@ -93,8 +94,9 @@ type Span struct {
 	Instrs uint64
 }
 
-// Add accounts one interval executed in the given mode.
-func (s *Span) Add(m *Model, ev uarch.Events, mode uarch.Mode) {
+// Add accounts one interval executed in the given mode; ev is read, not
+// kept.
+func (s *Span) Add(m *Model, ev *uarch.Events, mode uarch.Mode) {
 	s.Energy += m.Energy(ev, mode)
 	s.Cycles += ev.Cycles
 	s.Instrs += ev.Instrs

@@ -62,7 +62,7 @@ func TestPowerComponents(t *testing.T) {
 	ev2.Instrs = 4000
 	ev2.FPOps = 500
 	ev2.L2Misses = 50
-	if m.Energy(ev2, uarch.ModeHighPerf) <= m.Energy(ev, uarch.ModeHighPerf) {
+	if m.Energy(&ev2, uarch.ModeHighPerf) <= m.Energy(&ev, uarch.ModeHighPerf) {
 		t.Error("dynamic events did not increase energy")
 	}
 }
@@ -96,15 +96,15 @@ func TestSpanAccumulation(t *testing.T) {
 	m := DefaultModel()
 	var s Span
 	ev := uarch.Events{Cycles: 100, Instrs: 250}
-	s.Add(m, ev, uarch.ModeHighPerf)
-	s.Add(m, ev, uarch.ModeLowPower)
+	s.Add(m, &ev, uarch.ModeHighPerf)
+	s.Add(m, &ev, uarch.ModeLowPower)
 	if s.Cycles != 200 || s.Instrs != 500 {
 		t.Errorf("span totals = %+v", s)
 	}
 	if s.IPC() != 2.5 {
 		t.Errorf("span IPC = %v, want 2.5", s.IPC())
 	}
-	wantEnergy := m.Energy(ev, uarch.ModeHighPerf) + m.Energy(ev, uarch.ModeLowPower)
+	wantEnergy := m.Energy(&ev, uarch.ModeHighPerf) + m.Energy(&ev, uarch.ModeLowPower)
 	if s.Energy != wantEnergy {
 		t.Errorf("span energy = %v, want %v", s.Energy, wantEnergy)
 	}

@@ -36,8 +36,8 @@ func TestEnergyPositiveAndModeOrderedProperty(t *testing.T) {
 	m := DefaultModel()
 	f := func(raw [8]uint32) bool {
 		ev := randomEvents(raw)
-		hi := m.Energy(ev, uarch.ModeHighPerf)
-		lo := m.Energy(ev, uarch.ModeLowPower)
+		hi := m.Energy(&ev, uarch.ModeHighPerf)
+		lo := m.Energy(&ev, uarch.ModeLowPower)
 		if hi <= 0 || lo <= 0 {
 			t.Logf("non-positive energy: hi=%v lo=%v", hi, lo)
 			return false
@@ -64,12 +64,12 @@ func TestEnergyMonotoneInEventsProperty(t *testing.T) {
 	m := DefaultModel()
 	f := func(raw [8]uint32, extra uint16) bool {
 		ev := randomEvents(raw)
-		base := m.Energy(ev, uarch.ModeHighPerf)
+		base := m.Energy(&ev, uarch.ModeHighPerf)
 		grown := ev
 		grown.L2Misses += uint64(extra)
 		grown.FPOps += uint64(extra)
 		grown.Instrs += uint64(extra)
-		return m.Energy(grown, uarch.ModeHighPerf) >= base
+		return m.Energy(&grown, uarch.ModeHighPerf) >= base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestEnergyAtNominalMatchesBaseModelProperty(t *testing.T) {
 		if low {
 			mode = uarch.ModeLowPower
 		}
-		base := m.Energy(ev, mode)
+		base := m.Energy(&ev, mode)
 		dvfs := m.EnergyAt(ev, mode, nominal)
 		return math.Abs(base-dvfs) <= 1e-9*base
 	}
@@ -105,7 +105,7 @@ func TestSpanAccumulationMatchesSingleInterval(t *testing.T) {
 	f := func(raw [8]uint32) bool {
 		ev := randomEvents(raw)
 		var whole, parts Span
-		whole.Add(m, ev, uarch.ModeHighPerf)
+		whole.Add(m, &ev, uarch.ModeHighPerf)
 
 		half := ev
 		half.Cycles /= 2
@@ -126,8 +126,8 @@ func TestSpanAccumulationMatchesSingleInterval(t *testing.T) {
 			Mispredicts: ev.Mispredicts - half.Mispredicts,
 			L1IHits:     ev.L1IHits - half.L1IHits,
 		}
-		parts.Add(m, half, uarch.ModeHighPerf)
-		parts.Add(m, rest, uarch.ModeHighPerf)
+		parts.Add(m, &half, uarch.ModeHighPerf)
+		parts.Add(m, &rest, uarch.ModeHighPerf)
 
 		if math.Abs(whole.IPC()-parts.IPC()) > 1e-9 {
 			t.Logf("IPC %v != %v", whole.IPC(), parts.IPC())

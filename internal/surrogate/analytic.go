@@ -21,14 +21,15 @@ import (
 //
 // Stall count is re-derived as cycles−busy, mirroring how the cycle model
 // reports it. The remaining error — switch-transient µarch state, fill
-// overlap under derate — is what the learned residual corrects.
-func Splice(rec []float64, mode uarch.Mode, derate float64, sinceSwitch int, cfg uarch.Config) []float64 {
+// overlap under derate — is what the learned residual corrects. Only
+// whether sinceSwitch is 0 matters here.
+func Splice(rec []float64, mode uarch.Mode, derate float64, sinceSwitch int, cfg *uarch.Config) []float64 {
 	base := make([]float64, len(rec))
 	copy(base, rec)
 	cycles := base[idxCycles]
 
 	if sinceSwitch == 0 {
-		c, uops := uarch.SwitchCost(cfg, mode)
+		c, uops := uarch.SwitchCost(*cfg, mode)
 		base[idxModeSwitches]++
 		base[idxRegTransferUops] += float64(uops)
 		cycles += float64(c)
@@ -51,7 +52,7 @@ func Splice(rec []float64, mode uarch.Mode, derate float64, sinceSwitch int, cfg
 // issue-width bound (instructions / front-end width of the mode) and the
 // recorded busy-cycle count, so spliced vectors always pass the telemetry
 // plausibility checks.
-func applyCycleBounds(base []float64, mode uarch.Mode, cycles float64, cfg uarch.Config) float64 {
+func applyCycleBounds(base []float64, mode uarch.Mode, cycles float64, cfg *uarch.Config) float64 {
 	width := float64(cfg.FetchWidth)
 	if mode == uarch.ModeLowPower {
 		width = math.Max(1, width/2)

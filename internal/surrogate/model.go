@@ -25,9 +25,9 @@ const maxResidual = 0.4
 // Forest/Ridge is set, recorded in Backend; both are evaluated on the
 // holdout at training time and the lower-MAE backend wins.
 //
-// A Model memoises its residuals per recording (see residualTable), so
-// neither it nor the recordings it replays may be modified after its first
-// deployment; retraining builds a new Model.
+// A Model memoises its finished intervals per recording (see
+// residualTable), so neither it nor the recordings it replays may be
+// modified after its first deployment; retraining builds a new Model.
 type Model struct {
 	FeatureVersion int
 	Backend        string // "forest" or "ridge"
@@ -43,8 +43,8 @@ type Model struct {
 	HoldoutMAE float64
 	HoldoutP95 float64
 
-	// tables holds one residual table per recording the model has
-	// replayed, so every deployment of a recording shares its residuals.
+	// tables holds one table per recording the model has replayed, so
+	// every deployment of a recording shares its finished intervals.
 	tablesMu sync.Mutex
 	tables   map[*dataset.TraceTelemetry]*residualTable
 }
@@ -76,8 +76,8 @@ func (m *Model) Residual(f []float64) float64 {
 // Replay runs one closed-loop deployment on the surrogate fast path,
 // regardless of oracle mode: core.DeployFrom's decision loop over spliced
 // recorded intervals corrected by the model's residual, read from the
-// recording's residual table. The caller is responsible for fingerprint
-// checks (Oracle.Deploy does both).
+// recording's table of finished intervals. The caller is responsible for
+// fingerprint checks (Oracle.Deploy does both).
 func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts core.DeployOptions) (*core.GuardedDeploymentResult, error) {
 	if m != nil && m.FeatureVersion != FeatureVersion {
@@ -90,31 +90,51 @@ func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.T
 
 // traceModel is the surrogate's core.IntervalSource for one deployment:
 // the trace's recorded fixed-mode telemetry plus the trained residual,
-// looked up in the recording's table (nil evaluates every interval).
+// served from the recording's table of finished intervals (nil computes
+// every interval).
 type traceModel struct {
 	m     *Model
 	ref   *dataset.TraceTelemetry
 	core  uarch.Config
 	clock switchClock
 	table *residualTable
+	// checked reports that table has been checked against core; table is
+	// nil from then on if it serves another core.
+	checked bool
 }
 
 // NextInterval returns the surrogate's estimate of the exact simulator's
-// interval delta: the recorded steady-state vector for the mode, spliced
-// analytically, then cycle-corrected by the residual model. The
-// recordings hold only full intervals, so it returns nil past their end.
+// interval delta (see estimate), as stored in the recording's table: the
+// deployment shares the vector and only reads it. The recordings hold
+// only full intervals, so it returns nil past their end.
 func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
 	if gidx >= t.ref.Intervals() {
 		return nil
 	}
 	sinceSwitch := t.clock.next(mode)
+	if !t.checked {
+		t.checked = true
+		if t.table != nil && !t.table.serves(&t.core) {
+			t.table = nil
+		}
+	}
+	if t.table == nil {
+		return t.estimate(gidx, mode, derate, sinceSwitch)
+	}
+	return t.table.interval(t, gidx, mode, derate, sinceSwitch)
+}
+
+// estimate computes interval gidx afresh: the recorded steady-state vector
+// for the mode, spliced analytically, then cycle-corrected by the residual
+// model and bounded again.
+func (t *traceModel) estimate(gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
 	rec := t.ref.HighPerf[gidx]
 	if mode == uarch.ModeLowPower {
 		rec = t.ref.LowPower[gidx]
 	}
-	base := Splice(rec.Base, mode, derate, sinceSwitch, t.core)
-	if r := t.table.residual(t.m, t.ref, gidx, mode, derate, sinceSwitch); r != 0 {
-		base[idxCycles] = applyCycleBounds(base, mode, base[idxCycles]*(1+r), t.core)
+	base := Splice(rec.Base, mode, derate, sinceSwitch, &t.core)
+	if r := t.m.Residual(intervalFeatures(t.ref, gidx, mode, derate, sinceSwitch)); r != 0 {
+		base[idxCycles] = applyCycleBounds(base, mode, base[idxCycles]*(1+r), &t.core)
 		base[idxStall] = stallFor(base)
 	}
 	return base

@@ -424,7 +424,7 @@ func TestSpliceSwitchCost(t *testing.T) {
 	rec[idxBusy] = 3000
 	rec[idxL2Misses] = 120
 	rec[idxPrefetchFills] = 40
-	low := Splice(rec, uarch.ModeLowPower, 1, 0, cfg)
+	low := Splice(rec, uarch.ModeLowPower, 1, 0, &cfg)
 	cyc, uops := uarch.SwitchCost(cfg, uarch.ModeLowPower)
 	if got := low[idxCycles] - rec[idxCycles]; got != float64(cyc) {
 		t.Errorf("low-power switch cycles patched %+v, want %d", got, cyc)
@@ -438,11 +438,11 @@ func TestSpliceSwitchCost(t *testing.T) {
 	if low[idxStall] != low[idxCycles]-low[idxBusy] {
 		t.Error("stall count not re-derived")
 	}
-	steady := Splice(rec, uarch.ModeLowPower, 1, steadySinceSwitch, cfg)
+	steady := Splice(rec, uarch.ModeLowPower, 1, steadySinceSwitch, &cfg)
 	if steady[idxCycles] != rec[idxCycles] {
 		t.Error("steady-state splice should not patch cycles")
 	}
-	derated := Splice(rec, uarch.ModeHighPerf, 4, steadySinceSwitch, cfg)
+	derated := Splice(rec, uarch.ModeHighPerf, 4, steadySinceSwitch, &cfg)
 	if derated[idxCycles] <= rec[idxCycles] {
 		t.Error("derate splice should add fill-gap cycles")
 	}

@@ -17,13 +17,16 @@ var (
 	residualHits  = obs.NewCounter("surrogate.residual.hits")
 )
 
-// residualKey identifies one replayed interval's residual within a
-// recording. The residual is a pure function of the Features vector,
-// which reads the mode's and the other mode's recorded interval (fixed by
-// the interval index and whether the mode is low-power), the DRAM derate
-// and the since-switch count capped at sinceSwitchCap, so the key holds
-// exactly those. The derate is kept as its bits: equal bits are the same
-// float64, and a NaN, which equals nothing, still finds its own entry.
+// residualKey identifies one replayed interval within a recording. The
+// finished estimate is a pure function of the Features vector and of
+// Splice's inputs. Features reads the mode's and the other mode's recorded
+// interval (fixed by the interval index and whether the mode is
+// low-power), the DRAM derate and the since-switch count capped at
+// sinceSwitchCap; Splice reads the same interval and derate, whether the
+// since-switch count is 0, and the core, which a table is tied to. So the
+// key holds exactly those. The derate is kept as its bits: equal bits are
+// the same float64, and a NaN, which equals nothing, still finds its own
+// entry.
 type residualKey struct {
 	interval int32
 	lowPower bool
@@ -31,18 +34,25 @@ type residualKey struct {
 	derate   uint64
 }
 
-// residualTable memoises the residuals every deployment of one recording
-// has needed, so each key runs Features and the backend once per model.
-// It is exact only because the model and the recording are immutable once
-// built: nothing may retrain a Model's backend or edit a TraceTelemetry
-// after its first deployment.
+// residualTable memoises the finished intervals every deployment of one
+// recording has needed: each key is spliced, scored by the backend and
+// cycle-bounded once per model, and every later lookup returns the stored
+// vector, which deployments share and only read. It is exact only because
+// the model and the recording are immutable once built: nothing may
+// retrain a Model's backend or edit a TraceTelemetry after its first
+// deployment.
 type residualTable struct {
 	mu sync.Mutex
-	r  map[residualKey]float64
+	// core is the core the stored vectors were spliced for, set by the
+	// first deployment that consults the table (tied); a deployment on
+	// another core computes its intervals directly.
+	core uarch.Config
+	tied bool
+	v    map[residualKey][]float64
 }
 
-// residuals returns ref's residual table, creating it on first use; nil
-// for a model with no backend, whose residual is always 0.
+// residuals returns ref's table, creating it on first use; nil for a model
+// with no backend, whose intervals are the bare splice.
 func (m *Model) residuals(ref *dataset.TraceTelemetry) *residualTable {
 	if m == nil || (m.Forest == nil && m.Ridge == nil) {
 		return nil
@@ -54,31 +64,38 @@ func (m *Model) residuals(ref *dataset.TraceTelemetry) *residualTable {
 		if m.tables == nil {
 			m.tables = map[*dataset.TraceTelemetry]*residualTable{}
 		}
-		t = &residualTable{r: map[residualKey]float64{}}
+		t = &residualTable{v: map[residualKey][]float64{}}
 		m.tables[ref] = t
 	}
 	return t
 }
 
-// residual returns the clamped residual of interval gidx of ref replayed
-// in mode under derate, sinceSwitch intervals after the last mode switch;
-// a nil table evaluates it. A hit allocates nothing, and a miss evaluates
-// the model under the table's lock, so each key is evaluated exactly once.
-func (t *residualTable) residual(m *Model, ref *dataset.TraceTelemetry, gidx int, mode uarch.Mode, derate float64, sinceSwitch int) float64 {
-	if t == nil {
-		return m.Residual(intervalFeatures(ref, gidx, mode, derate, sinceSwitch))
+// serves reports whether the table holds vectors spliced for core, tying
+// a table no deployment has consulted yet to it.
+func (t *residualTable) serves(core *uarch.Config) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.tied {
+		t.core, t.tied = *core, true
 	}
+	return t.core == *core
+}
+
+// interval returns src's finished interval gidx, replayed in mode under
+// derate sinceSwitch intervals after the last mode switch: the stored
+// vector on a hit, which allocates nothing. A miss computes it under the
+// table's lock, so each key is evaluated exactly once.
+func (t *residualTable) interval(src *traceModel, gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
 	k := residualKey{interval: int32(gidx), lowPower: mode == uarch.ModeLowPower,
 		since: uint8(min(sinceSwitch, sinceSwitchCap)), derate: math.Float64bits(derate)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.r[k]
-	if ok {
+	if v, ok := t.v[k]; ok {
 		residualHits.Inc()
-		return r
+		return v
 	}
-	r = m.Residual(intervalFeatures(ref, gidx, mode, derate, sinceSwitch))
-	t.r[k] = r
+	v := src.estimate(gidx, mode, derate, sinceSwitch)
+	t.v[k] = v
 	residualEvals.Inc()
-	return r
+	return v
 }

@@ -244,22 +244,68 @@ func TestResidualTableRandomSchedules(t *testing.T) {
 	}
 }
 
-// TestResidualTableHitAllocatesNothing: a lookup the table answers
-// allocates nothing, and a recording's deployments share one table.
+// TestResidualTableHitAllocatesNothing: an interval the table answers
+// through traceModel.NextInterval allocates nothing and is the stored
+// vector itself, and a recording's deployments share one table.
 func TestResidualTableHitAllocatesNothing(t *testing.T) {
-	_, tel, _ := testCorpus(t)
+	_, tel, cfg := testCorpus(t)
 	m := testBackends(t)[0]
 	ref := tel[0]
 	tab := m.residuals(ref)
 	if tab != m.residuals(ref) {
 		t.Fatal("a recording's deployments get different tables")
 	}
-	want := tab.residual(m, ref, 2, uarch.ModeLowPower, 4, 3)
-	var got float64
-	if a := testing.AllocsPerRun(100, func() { got = tab.residual(m, ref, 2, uarch.ModeLowPower, 4, 3) }); a != 0 {
+	src := &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock(), table: tab}
+	// From the cap on, the since-switch count no longer changes the key.
+	var want []float64
+	for i := 0; i <= sinceSwitchCap; i++ {
+		want = src.NextInterval(2, uarch.ModeLowPower, 4)
+	}
+	var got []float64
+	if a := testing.AllocsPerRun(100, func() { got = src.NextInterval(2, uarch.ModeLowPower, 4) }); a != 0 {
 		t.Errorf("a table hit allocates %.1f times", a)
 	}
-	if got != want {
-		t.Errorf("hit returned %v, the miss %v", got, want)
+	if &got[0] != &want[0] {
+		t.Error("a hit returned a vector other than the stored one")
+	}
+}
+
+// TestResidualTableTiedToCore: a recording's table holds vectors spliced
+// for the core its first deployment ran on. A replay on another core, one
+// with other switch costs, DRAM fill gap and front-end width, neither
+// reads nor fills it: it equals direct evaluation on its own core and
+// moves neither table counter.
+func TestResidualTableTiedToCore(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	m := testBackends(t)[0]
+	g := testController(t, cfg, waveScorer{})
+	pm := power.DefaultModel()
+	inj, err := fault.NewInjector(fault.Plan{Seed: 5, Rules: []fault.Rule{{Class: fault.DRAMDerate, Rate: 0.3, Burst: 2, Factor: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DeployOptions{Injector: inj}
+	other := cfg
+	other.Core.MemGap *= 2
+	other.Core.FetchWidth /= 2
+	other.Core.MaxRegTransfers /= 2
+	for k, run := range []dataset.Config{cfg, other, cfg} {
+		evals, hits := residualEvals.Value(), residualHits.Value()
+		got, err := m.Replay(g, c.Traces[0], tel[0], run, pm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := residualEvals.Value() != evals || residualHits.Value() != hits
+		direct := &traceModel{m: m, ref: tel[0], core: run.Core, clock: newSwitchClock()}
+		want, err := core.DeployFrom(g, c.Traces[0], tel[0], pm, opts, func() core.IntervalSource { return direct })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replay %d: table-backed deployment differs from direct evaluation on its core", k)
+		}
+		if moved != (run == cfg) {
+			t.Errorf("replay %d: table counters moved %v, want %v", k, moved, run == cfg)
+		}
 	}
 }

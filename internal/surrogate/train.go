@@ -215,7 +215,7 @@ func traceSamples(tr *trace.Trace, ref *dataset.TraceTelemetry, cfg dataset.Conf
 		if mode == uarch.ModeLowPower {
 			rec = ref.LowPower[gidx]
 		}
-		spliced := Splice(rec.Base, mode, derate, sinceSwitch, cfg.Core)
+		spliced := Splice(rec.Base, mode, derate, sinceSwitch, &cfg.Core)
 		y := trueBase[idxCycles]/spliced[idxCycles] - 1
 		if y > 1 {
 			y = 1

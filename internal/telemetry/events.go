@@ -3,51 +3,52 @@ package telemetry
 import "clustergate/internal/uarch"
 
 // BaseToEvents reconstructs an event-count struct from a base signal
-// vector, inverting ExtractBase. The power model consumes events, so this
-// lets recorded telemetry drive power estimation without keeping full
-// event structs per interval.
-func BaseToEvents(base []float64) uarch.Events {
-	u := func(i int) uint64 { return uint64(base[i]) }
-	return uarch.Events{
-		UopCacheMisses:    u(0),
-		L2SilentEvictions: u(1),
-		WrongPathUops:     u(2),
-		SQOccupancySum:    u(3),
-		L1DReads:          u(4),
-		StallCycles:       u(5),
-		PhysRegRefs:       u(6),
-		Loads:             u(7),
-		L1DHits:           u(8),
-		UopCacheHits:      u(9),
-		UopsStalledOnDep:  u(10),
-		UopsReady:         u(11),
-		Mispredicts:       u(12),
-		L1IMisses:         u(13),
-		L1DMisses:         u(14),
-		L2Misses:          u(15),
-		Instrs:            u(16),
-		ITLBMisses:        u(17),
-		DTLBMisses:        u(18),
-		Branches:          u(19),
-		TakenBranches:     u(20),
-		Stores:            u(21),
-		L2Hits:            u(22),
-		L2DirtyEvictions:  u(23),
-		L1IHits:           u(24),
-		FetchBubbles:      u(25),
-		RedirectCycles:    u(26),
-		BusyCycles:        u(27),
-		ReadyWaitCycles:   u(28),
-		SQStallCycles:     u(29),
-		IssueC0:           u(30),
-		IssueC1:           u(31),
-		CrossForwards:     u(32),
-		FPOps:             u(33),
-		MulOps:            u(34),
-		DivOps:            u(35),
-		ModeSwitches:      u(36),
-		RegTransferUops:   u(37),
-		PrefetchFills:     u(38),
-		Cycles:            u(39),
-	}
+// vector into ev, inverting ExtractBase; SwitchCycles, which is no base
+// signal, reads zero. The power model consumes events, so this lets
+// recorded telemetry drive power estimation without keeping full event
+// structs per interval. It writes field by field, so a caller that
+// accounts every interval reuses one struct and copies none.
+func BaseToEvents(base []float64, ev *uarch.Events) {
+	_ = base[39] // one bounds check for all forty signals
+	ev.UopCacheMisses = uint64(base[0])
+	ev.L2SilentEvictions = uint64(base[1])
+	ev.WrongPathUops = uint64(base[2])
+	ev.SQOccupancySum = uint64(base[3])
+	ev.L1DReads = uint64(base[4])
+	ev.StallCycles = uint64(base[5])
+	ev.PhysRegRefs = uint64(base[6])
+	ev.Loads = uint64(base[7])
+	ev.L1DHits = uint64(base[8])
+	ev.UopCacheHits = uint64(base[9])
+	ev.UopsStalledOnDep = uint64(base[10])
+	ev.UopsReady = uint64(base[11])
+	ev.Mispredicts = uint64(base[12])
+	ev.L1IMisses = uint64(base[13])
+	ev.L1DMisses = uint64(base[14])
+	ev.L2Misses = uint64(base[15])
+	ev.Instrs = uint64(base[16])
+	ev.ITLBMisses = uint64(base[17])
+	ev.DTLBMisses = uint64(base[18])
+	ev.Branches = uint64(base[19])
+	ev.TakenBranches = uint64(base[20])
+	ev.Stores = uint64(base[21])
+	ev.L2Hits = uint64(base[22])
+	ev.L2DirtyEvictions = uint64(base[23])
+	ev.L1IHits = uint64(base[24])
+	ev.FetchBubbles = uint64(base[25])
+	ev.RedirectCycles = uint64(base[26])
+	ev.BusyCycles = uint64(base[27])
+	ev.ReadyWaitCycles = uint64(base[28])
+	ev.SQStallCycles = uint64(base[29])
+	ev.IssueC0 = uint64(base[30])
+	ev.IssueC1 = uint64(base[31])
+	ev.CrossForwards = uint64(base[32])
+	ev.FPOps = uint64(base[33])
+	ev.MulOps = uint64(base[34])
+	ev.DivOps = uint64(base[35])
+	ev.ModeSwitches = uint64(base[36])
+	ev.RegTransferUops = uint64(base[37])
+	ev.PrefetchFills = uint64(base[38])
+	ev.Cycles = uint64(base[39])
+	ev.SwitchCycles = 0
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"clustergate/internal/uarch"
 )
 
 // TestSnapshotLinearityProperty: non-noisy derived counters are linear in
@@ -62,14 +64,16 @@ func TestSnapshotNonNegativeOnCounts(t *testing.T) {
 
 func TestBaseToEventsRoundTrip(t *testing.T) {
 	f := func(a, b, c uint32) bool {
-		ev := BaseToEvents([]float64{
+		ev := uarch.Events{SwitchCycles: 7} // not a base signal: must read zero
+		BaseToEvents([]float64{
 			1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
 			float64(a), 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29,
 			30, 31, 32, 33, 34, 35, 36, 37, 38, float64(b), float64(c),
-		})
+		}, &ev)
 		back := ExtractBase(ev)
 		return back[16] == float64(a) && back[NumBase-2] == float64(b) &&
-			back[NumBase-1] == float64(c) && back[0] == 1 && back[11] == 12
+			back[NumBase-1] == float64(c) && back[0] == 1 && back[11] == 12 &&
+			ev.SwitchCycles == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -44,36 +44,41 @@ go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./inte
     ./internal/ctrlplane/... ./internal/telemetry/... ./internal/uarch/... ./internal/surrogate/... \
     ./cmd/obsdiff/...
 
+# Every fuzz step below minimises each new-coverage input for at most 10
+# executions. Bounded by time instead (a minute by default, or 1s), a
+# step on a fresh fuzz cache found inputs faster than it could minimise
+# them and spent its 10s minimising, so a slow target fuzzed only a few
+# dozen inputs.
+fuzzmin=(-fuzzminimizetime 10x)
+
 echo "== fuzz firmware-image loading (FuzzLoadController, 10s)"
 # Both load paths must return a controller or an error for any bytes; the
 # seed corpus lives in internal/core/testdata/fuzz/FuzzLoadController.
-# Minimising each new input may otherwise take up to a minute, which would
-# leave the 10s budget no time to fuzz.
-go test -run '^$' -fuzz '^FuzzLoadController$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+go test -run '^$' -fuzz '^FuzzLoadController$' -fuzztime 10s "${fuzzmin[@]}" ./internal/core/
 
 echo "== fuzz binary trace decoding (FuzzTraceReader, 10s)"
 # Any bytes must decode to at most the declared instruction count or fail
 # with an error; seeds live in internal/trace/testdata/fuzz/FuzzTraceReader.
-go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s "${fuzzmin[@]}" ./internal/trace/
 
 echo "== fuzz fault plans (FuzzParsePlan, 10s)"
 # Any bytes must parse to a plan or fail with an error, and an accepted
 # plan's per-trace injector must draw derates, telemetry and prediction
 # faults over arbitrary telemetry without panicking; seeds live in
 # internal/fault/testdata/fuzz/FuzzParsePlan.
-go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fault/
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s "${fuzzmin[@]}" ./internal/fault/
 
 echo "== fuzz telemetry-cache reading (FuzzReadCache, 10s)"
 # Any bytes must decode to telemetry that fits the corpus, which dataset
 # building then consumes, or count as a miss; seeds live in
 # internal/dataset/testdata/fuzz/FuzzReadCache.
-go test -run '^$' -fuzz '^FuzzReadCache$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataset/
+go test -run '^$' -fuzz '^FuzzReadCache$' -fuzztime 10s "${fuzzmin[@]}" ./internal/dataset/
 
 echo "== fuzz control-plane checkpoint restore (FuzzCheckpointRestore, 10s)"
 # Any bytes written as a campaign's checkpoint must be restored or ignored,
 # and the campaign must then tick and close; seeds are a five-tick
 # checkpoint and its out-of-range edits, built in the test.
-go test -run '^$' -fuzz '^FuzzCheckpointRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ctrlplane/
+go test -run '^$' -fuzz '^FuzzCheckpointRestore$' -fuzztime 10s "${fuzzmin[@]}" ./internal/ctrlplane/
 
 # The BENCH files obsdiff gates, named once for the stash, the
 # validation and the gate below.
