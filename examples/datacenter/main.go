@@ -3,11 +3,11 @@
 // firmware image that datacenter infrastructure management software
 // flashes across the fleet — and because a firmware push is just software,
 // a bad push is one miscalibration away. This example rolls a healthy
-// image out through staged rings under a noisy transport, then shows the
-// two failure stories the rollout machinery exists for: a canary health
-// gate catching a miscalibrated hotfix after two machines instead of
-// twenty-four, and the ungated big-bang counterfactual that ships it
-// everywhere.
+// image out through staged rings of the control plane under a noisy
+// transport, then shows the two failure stories the rollout machinery
+// exists for: a canary health gate catching a miscalibrated hotfix before
+// it leaves the first two rings, and the ungated big-bang counterfactual
+// that ships it everywhere.
 //
 // Run with:
 //
@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"clustergate/internal/core"
+	"clustergate/internal/ctrlplane"
 	"clustergate/internal/dataset"
 	"clustergate/internal/fleet"
 	"clustergate/internal/mcu"
@@ -67,10 +68,19 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  sealed %s: %d-byte firmware image\n", trained.Name, image.Len())
 
 	wl := fleet.Workload{Traces: test.Traces, Tel: testTel, Cfg: cfg, PM: power.DefaultModel()}
-	staged := fleet.Config{
-		Machines: 24, Rings: []int{2, 6, 16}, Verify: true,
-		Gate:        &fleet.GatePolicy{MaxCRCRejectRate: 1, MaxTripsPerMachine: 3, MaxSLARate: 0.5, MaxMisgateRate: 0.35},
-		Guardrail:   core.DefaultGuardrail(),
+	// Four machines flash per tick. Each ring soaks once half of it has
+	// installed (stragglers get a re-flash) and is judged after one tick
+	// of two telemetry intervals per machine — about one pass over these
+	// two-window traces — while the next ring flashes. A soak that short
+	// reads the misgate rate from a few sampled windows (this healthy
+	// image's broad ring reads 0.43), so the trips bound is the one that
+	// separates a bad image here.
+	staged := ctrlplane.Config{
+		Name: "datacenter/staged", Machines: 24,
+		RingFracs: []float64{2.0 / 24, 6.0 / 24, 16.0 / 24}, Verify: true,
+		Gate:         fleet.GatePolicy{MaxCRCRejectRate: 1, MaxTripsPerMachine: 3, MaxSLARate: 0.5, MaxMisgateRate: 0.5},
+		Guardrail:    core.DefaultGuardrail(),
+		FlashPerTick: 4, SoakTicks: 1, IntervalsPerTick: 2, Quorum: 0.5,
 		CorruptProb: 0.2, FlashFailProb: 0.25, FlashRetries: 4,
 		Seed: 11,
 	}
@@ -78,23 +88,24 @@ func main() {
 	// Act 1: the healthy image, over a transport that corrupts one in five
 	// transfers. CRC rejections are retried, each ring soaks clean, every
 	// ring promotes.
-	good, err := fleet.Run(staged, image.Bytes(), wl)
-	if err != nil {
-		log.Fatal(err)
-	}
+	good := campaign(staged, image.Bytes(), wl)
 	fmt.Printf("\nhealthy image, staged canary(2) -> early(6) -> broad(16):\n")
 	for _, ring := range good.Rings {
 		fmt.Printf("  ring %d: %2d/%2d installed, %d CRC rejections retried, %d trips  -> promoted=%v\n",
 			ring.Index, ring.Installed, ring.Size, ring.CRCRejects, ring.Trips, ring.Promoted)
 	}
-	fmt.Printf("  fleet on new image: %d/%d machines in %d time steps (corrupted payloads installed: %d)\n",
-		good.Installed, len(good.Machines), good.TimeSteps, good.Exposed)
+	if !good.Completed {
+		fmt.Printf("  HALTED at ring %d: %s\n", good.HaltedRing, good.HaltReason)
+	}
+	fmt.Printf("  fleet on new image: %d/%d machines in %d ticks (corrupted payloads installed: %d)\n",
+		good.Installed, good.Machines, good.Ticks, good.Exposed)
 
 	// Act 2: a hotfix gone wrong — same model, gating thresholds
 	// miscalibrated so every window gates. The CRC envelope cannot catch a
 	// semantic bug, but the canary soak can: the on-machine guardrail
-	// trips repeatedly, the health gate fails, and the rollout halts after
-	// two machines and rolls both back.
+	// trips repeatedly, the health gate fails, and the rollout halts and
+	// rolls back the canary plus the early-ring machines flashed while it
+	// soaked.
 	badCtrl := *trained
 	badCtrl.Name = trained.Name + "-hotfix"
 	badCtrl.ThresholdHigh, badCtrl.ThresholdLow = -1e9, -1e9
@@ -103,35 +114,44 @@ func main() {
 		log.Fatal(err)
 	}
 	badCfg := staged
+	badCfg.Name = "datacenter/hotfix"
 	badCfg.CorruptProb = 0 // the push itself is clean; the bug is in the bits
-	bad, err := fleet.Run(badCfg, badImage.Bytes(), wl)
-	if err != nil {
-		log.Fatal(err)
-	}
+	bad := campaign(badCfg, badImage.Bytes(), wl)
 	fmt.Printf("\nmiscalibrated hotfix, same staged policy:\n")
 	if bad.RolledBack {
-		fmt.Printf("  caught at ring %d: %s\n", bad.GateFailedRing, bad.GateFailure)
+		fmt.Printf("  caught at ring %d: %s\n", bad.HaltedRing, bad.HaltReason)
 		fmt.Printf("  blast radius: %d of %d machines, all %d rolled back (%d rollback flashes retried)\n",
-			bad.Flashed, len(bad.Machines), bad.RollbackFlashes, bad.RollbackRetries)
+			bad.Flashed, bad.Machines, bad.RollbackFlashes, bad.RollbackRetries)
 	} else {
 		fmt.Printf("  NOT caught: %d machines running the bad image\n", bad.Installed)
 	}
 
 	// Act 3: the counterfactual — the same bad image through an ungated
-	// big-bang push, the deployment style the rollout controller replaces.
-	bigbang, err := fleet.Run(fleet.Config{
-		Machines: 24, FlashPerStep: 4,
-		FlashFailProb: 0.25, FlashRetries: 4,
+	// big-bang push (the zero gate), the deployment style the rollout
+	// controller replaces.
+	bigbang := campaign(ctrlplane.Config{
+		Name: "datacenter/bigbang", Machines: 24, RingFracs: []float64{1},
+		FlashPerTick: 4, FlashFailProb: 0.25, FlashRetries: 4,
 		Seed: 11,
 	}, badImage.Bytes(), wl)
+	fmt.Printf("\nsame hotfix, ungated big-bang push:\n")
+	fmt.Printf("  %d of %d machines running the bad image after %d ticks, nothing rolled back\n",
+		bigbang.Installed, bigbang.Machines, bigbang.Ticks)
+
+	fmt.Printf("\nThe gate turns a fleet-wide regression into a %d-machine\n", bad.Flashed)
+	fmt.Printf("incident, for a staged rollout of %d ticks against the big bang's\n", good.Ticks)
+	fmt.Printf("%d — the deployment half of the paper's post-silicon adaptation story.\n", bigbang.Ticks)
+}
+
+// campaign runs one rollout on the control plane.
+func campaign(cfg ctrlplane.Config, img []byte, wl fleet.Workload) *ctrlplane.Report {
+	s, err := ctrlplane.New(cfg, img, wl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsame hotfix, ungated big-bang push:\n")
-	fmt.Printf("  %d of %d machines running the bad image, nothing rolled back\n",
-		bigbang.Installed, len(bigbang.Machines))
-
-	fmt.Println("\nThe gate turns a fleet-wide regression into a two-machine")
-	fmt.Println("incident at the same time-to-full-fleet — the deployment half")
-	fmt.Println("of the paper's post-silicon adaptation story.")
+	rep, err := s.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep
 }

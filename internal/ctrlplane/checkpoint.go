@@ -26,6 +26,7 @@ import (
 	"os"
 	"sort"
 
+	"clustergate/internal/core"
 	"clustergate/internal/fleet"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
@@ -134,16 +135,23 @@ type campaignSnap struct {
 }
 
 // fingerprint binds a checkpoint to the campaign inputs that determine
-// its schedule: seeds, fleet shape, gate cadence, transport model, image
-// bytes, and the fault plan. Ingest knobs (Shards, BatchSize, QueueDepth,
-// Workers) are deliberately absent — they never affect control decisions.
+// its schedule: seeds, fleet shape, gate cadence, the promotion policy
+// (gate thresholds, guardrail, and the soak oracle's mode), transport
+// model, image bytes, and the fault plan. Ingest knobs (Shards,
+// BatchSize, QueueDepth, Workers) are deliberately absent — they never
+// affect control decisions.
 func (s *Service) fingerprint() string {
 	plan, _ := json.Marshal(s.cfg.Faults)
+	mode := core.SimExact
+	if o := s.soaker.Workload().Oracle; o != nil {
+		mode = o.Mode()
+	}
 	return fmt.Sprintf(
-		"v1|seed=%d|machines=%d|rings=%v|quorum=%v|soak=%d|fpt=%d|ipt=%d|lease=%d|verify=%t|corrupt=%v/%d|fail=%v/%d|img=%08x|traces=%d|faults=%s",
+		"v2|seed=%d|machines=%d|rings=%v|quorum=%v|soak=%d|fpt=%d|ipt=%d|lease=%d|gate=%+v|guardrail=%+v|oracle=%s|verify=%t|corrupt=%v/%d|fail=%v/%d|img=%08x|traces=%d|faults=%s",
 		s.cfg.Seed, s.cfg.Machines, s.cfg.RingFracs, s.cfg.Quorum,
 		s.cfg.SoakTicks, s.cfg.FlashPerTick, s.cfg.IntervalsPerTick,
-		s.cfg.LeaseTicks, s.cfg.Verify, s.cfg.CorruptProb, s.cfg.CorruptBits,
+		s.cfg.LeaseTicks, s.cfg.Gate, s.cfg.Guardrail, mode,
+		s.cfg.Verify, s.cfg.CorruptProb, s.cfg.CorruptBits,
 		s.cfg.FlashFailProb, s.cfg.FlashRetries,
 		crc32.ChecksumIEEE(s.spec.Img), len(s.soaker.Workload().Traces), plan)
 }
@@ -404,7 +412,6 @@ func (s *Service) recomputeProfiles() {
 	drop := func(int64, string, map[string]any) {}
 	spec, reflash := s.spec, s.reflash
 	spec.Emitter, reflash.Emitter = drop, drop
-	traces := len(s.soaker.Workload().Traces)
 	_ = parallel.ForEach(s.cfg.Workers, len(ids), func(j int) error {
 		m := ids[j]
 		mc := &s.machines[m]
@@ -412,14 +419,7 @@ func (s *Service) recomputeProfiles() {
 		if mc.viaReflash {
 			sp = &reflash
 		}
-		fo := sp.Flash(m, fleet.PhaseInstall)
-		if fo.Installed && !fo.Crashed && fo.Ctrl != nil {
-			if fo.Corrupt {
-				mc.profile = s.soaker.Deploy(fo.Ctrl, m%traces)
-			} else {
-				mc.profile = s.soaker.Pristine(fo.Ctrl, m%traces)
-			}
-		}
+		mc.profile = s.soakProfile(m, sp.Flash(m, fleet.PhaseInstall))
 		return nil
 	})
 }

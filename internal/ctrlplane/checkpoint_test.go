@@ -119,8 +119,9 @@ func TestCheckpointResumeUnderChurn(t *testing.T) {
 }
 
 // TestCheckpointMismatchStartsFresh: a checkpoint from different campaign
-// inputs (or a corrupt file) is ignored — the campaign starts fresh
-// instead of resuming someone else's state or failing.
+// inputs — another seed, another gate, or no gate at all — or a corrupt
+// file is ignored: the campaign starts fresh instead of resuming someone
+// else's state or failing.
 func TestCheckpointMismatchStartsFresh(t *testing.T) {
 	wl := testWorkload(t)
 	img := testController(t, wl.Cfg, -4, "cp-good")
@@ -138,16 +139,20 @@ func TestCheckpointMismatchStartsFresh(t *testing.T) {
 		t.Fatal(s.ckptErr)
 	}
 
-	other := cfg
-	other.Seed = 12
-	s2, err := New(other, img, wl)
-	if err != nil {
-		t.Fatal(err)
+	reseeded, regated, ungated := cfg, cfg, cfg
+	reseeded.Seed = 12
+	regated.Gate.MaxMisgateRate = 0.35
+	ungated.Gate = fleet.GatePolicy{}
+	for name, other := range map[string]Config{"seed": reseeded, "gate": regated, "gate (none)": ungated} {
+		s2, err := New(other, img, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.tick != 0 {
+			t.Errorf("checkpoint of a campaign with a different %s resumed at tick %d", name, s2.tick)
+		}
+		s2.Close()
 	}
-	if s2.tick != 0 {
-		t.Errorf("checkpoint with a mismatched fingerprint resumed at tick %d", s2.tick)
-	}
-	s2.Close()
 
 	if err := os.WriteFile(cfg.CheckpointPath, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)

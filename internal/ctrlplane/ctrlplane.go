@@ -1,9 +1,8 @@
-// Package ctrlplane is the fleet adaptation control plane: a long-running,
-// sharded service that drives staged controller rollouts across a simulated
-// datacenter while continuously ingesting the fleet's health telemetry.
-// Where internal/fleet runs one rollout as a batch function, ctrlplane runs
-// the same flash/soak/gate steps (the reusable step layer in
-// internal/fleet/steps.go) as a control loop over logical ticks:
+// Package ctrlplane is the fleet adaptation control plane and the repo's
+// one rollout engine: a long-running, sharded service that drives staged
+// controller rollouts across a simulated datacenter while continuously
+// ingesting the fleet's health telemetry. It composes the flash, soak and
+// gate steps of internal/fleet into a control loop over logical ticks:
 //
 //   - every tick, machines in soaking rings stream telemetry intervals
 //     into a central ingest layer — batched, pushed through bounded
@@ -12,7 +11,10 @@
 //     state and drives the ring state machine: flash ring N while ring
 //     N−1 soaks (pipelined rings), promote a ring on a quorum of installs
 //     with a straggler re-flash pass, halt and roll the whole fleet back
-//     on a gate failure.
+//     on a gate failure;
+//   - a campaign with the zero gate is an ungated big-bang push: each
+//     ring is promoted as soon as it is flashed, nothing soaks, and
+//     nothing rolls back.
 //
 // The service also survives an unreliable fleet and its own crashes:
 //
@@ -122,11 +124,20 @@ type Config struct {
 	// distinct scopes.
 	LatencyScope string
 	// Gate is the ring-promotion policy, evaluated on ingested telemetry.
+	// The zero policy gates nothing: each ring is promoted on the tick its
+	// flash finishes, with no quorum, re-flash or soak, so nothing deploys
+	// and no telemetry streams — a big-bang push. Install crashes are
+	// counted but never halt it.
 	Gate fleet.GatePolicy
 	// Guardrail instruments every soak deployment.
 	Guardrail core.Guardrail
-	// Verify, CorruptProb, CorruptBits, FlashFailProb, and FlashRetries
-	// parameterise the flash transport model; see fleet.Config.
+	// Verify selects the CRC-checked install path: corrupted payloads are
+	// rejected at the envelope and the transfer is retried; false models
+	// the legacy pipeline that installs whatever arrives. CorruptProb (in
+	// [0,1]) is the per-transfer chance the payload arrives with
+	// CorruptBits flips (zero selects 4); FlashFailProb (in [0,1]) the
+	// per-attempt chance of a transient failure, of which a flash absorbs
+	// FlashRetries. See fleet.FlashSpec.
 	Verify        bool
 	CorruptProb   float64
 	CorruptBits   int
@@ -154,7 +165,7 @@ func (c *Config) validate(wl *fleet.Workload) error {
 	}
 	var sum float64
 	for i, f := range c.RingFracs {
-		if f <= 0 {
+		if !(f > 0) {
 			return fmt.Errorf("ctrlplane: ring %d has fraction %v", i, f)
 		}
 		sum += f
@@ -168,8 +179,14 @@ func (c *Config) validate(wl *fleet.Workload) error {
 	if c.Quorum == 0 {
 		c.Quorum = 0.95
 	}
-	if c.Quorum < 0 || c.Quorum > 1 {
+	if !(c.Quorum > 0 && c.Quorum <= 1) {
 		return fmt.Errorf("ctrlplane: quorum %v", c.Quorum)
+	}
+	if !(c.CorruptProb >= 0 && c.CorruptProb <= 1) {
+		return fmt.Errorf("ctrlplane: corruption probability %v", c.CorruptProb)
+	}
+	if !(c.FlashFailProb >= 0 && c.FlashFailProb <= 1) {
+		return fmt.Errorf("ctrlplane: flash failure probability %v", c.FlashFailProb)
 	}
 	if c.SoakTicks <= 0 {
 		c.SoakTicks = 3
@@ -324,11 +341,16 @@ type machineCtl struct {
 // Ingest observability: interval and batch volume and decision
 // throughput. The per-batch fold latency histogram behind the bench's p95
 // is per-service (Config.LatencyScope), so concurrent experiments don't
-// drift each other's manifests.
+// drift each other's manifests. The fleet.* counters tally rollout
+// outcomes: machines that installed a corrupted payload, rollbacks, and
+// their slot-switch flashes.
 var (
 	intervalsIngested = obs.NewCounter("ctrlplane.intervals.ingested")
 	batchesIngested   = obs.NewCounter("ctrlplane.batches")
 	decisionsMade     = obs.NewCounter("ctrlplane.decisions")
+	machinesExposed   = obs.NewCounter("fleet.machines.exposed")
+	rollbacks         = obs.NewCounter("fleet.rollbacks")
+	rollbackFlashes   = obs.NewCounter("fleet.rollback.flashes")
 )
 
 // Service is one control-plane campaign: construct with New, drive with
@@ -732,20 +754,24 @@ type flashed struct {
 // — machine order, serial — fully determines the control state.
 func (s *Service) flashWave(spec *fleet.FlashSpec, wave []int, phase int) []flashed {
 	outs, _ := parallel.Map(s.cfg.Workers, len(wave), func(j int) (flashed, error) {
-		m := wave[j]
-		fo := spec.Flash(m, phase)
-		f := flashed{out: fo}
-		if fo.Installed && !fo.Crashed && fo.Ctrl != nil {
-			ti := m % len(s.soaker.Workload().Traces)
-			if fo.Corrupt {
-				f.profile = s.soaker.Deploy(fo.Ctrl, ti)
-			} else {
-				f.profile = s.soaker.Pristine(fo.Ctrl, ti)
-			}
-		}
-		return f, nil
+		fo := spec.Flash(wave[j], phase)
+		return flashed{out: fo, profile: s.soakProfile(wave[j], fo)}, nil
 	})
 	return outs
+}
+
+// soakProfile is machine m's soak behaviour under its install outcome:
+// nil when nothing will soak, because the install left no decodable
+// controller or the campaign is ungated.
+func (s *Service) soakProfile(m int, fo fleet.FlashOutcome) *fleet.SoakProfile {
+	if s.cfg.Gate == (fleet.GatePolicy{}) || !fo.Installed || fo.Crashed || fo.Ctrl == nil {
+		return nil
+	}
+	ti := m % len(s.soaker.Workload().Traces)
+	if fo.Corrupt {
+		return s.soaker.Deploy(fo.Ctrl, ti)
+	}
+	return s.soaker.Pristine(fo.Ctrl, ti)
 }
 
 // foldFlash folds one machine's install outcome into the ring and machine
@@ -766,10 +792,13 @@ func (s *Service) foldFlash(rc *ringCtl, m int, f flashed) {
 	mc.flashed, mc.installed, mc.corrupt = true, true, f.out.Corrupt
 	mc.profile = f.profile
 	rc.installed++
+	if f.out.Corrupt {
+		machinesExposed.Inc()
+	}
 	// A decode crash is a transport-phase signal (the install agent sees
 	// it immediately, and the transport gate halts on it); a deploy crash
 	// is a soak-phase signal — the machine streams crashed telemetry and
-	// the health gate catches it, mirroring fleet.Run's phase split.
+	// the health gate catches it.
 	crashReason, phase := "", ""
 	if f.out.Crashed {
 		crashReason, phase = "installed payload failed to decode", "install"
@@ -814,15 +843,19 @@ func (s *Service) decideStep() {
 
 // decideTransport gates a fully flashed ring on its transport telemetry,
 // checks the install quorum, re-flashes stragglers, and starts the ring's
-// soak — pipelining the next ring's flash phase behind it.
+// soak — pipelining the next ring's flash phase behind it. An ungated
+// campaign promotes the ring outright.
 func (s *Service) decideTransport(rc *ringCtl) {
+	if s.cfg.Gate == (fleet.GatePolicy{}) {
+		s.promote(rc)
+		s.flashNext(rc)
+		return
+	}
 	s.gateEvals++
 	decisionsMade.Inc()
 	rep := &fleet.RingReport{
-		Index: rc.index, Size: len(rc.machines),
-		Installed: rc.installed, Rejected: rc.rejected, Crashes: rc.flashCrashes,
+		Size: len(rc.machines), Installed: rc.installed, Crashes: rc.flashCrashes,
 		RejectedAttempts: rc.rejectedAttempts,
-		FlashRetries:     rc.flashRetries, CRCRejects: rc.crcRejects,
 	}
 	if f := s.cfg.Gate.TransportFailure(rep); f != "" {
 		s.haltAndRollback(rc, f)
@@ -895,14 +928,20 @@ func (s *Service) decideTransport(rc *ringCtl) {
 			"quorum": fmt.Sprintf("%d/%d", rc.quorumNum, rc.quorumDen),
 		})
 	}
-	if rc.index+1 < len(s.rings) {
-		next := s.rings[rc.index+1]
-		next.state = ringFlashing
-		if s.recording() {
-			s.record(int64(s.tick), "ctrlplane.ring.flash", map[string]any{
-				"ring": next.index, "size": len(next.machines),
-			})
-		}
+	s.flashNext(rc)
+}
+
+// flashNext starts flashing the ring after rc, if there is one.
+func (s *Service) flashNext(rc *ringCtl) {
+	if rc.index+1 == len(s.rings) {
+		return
+	}
+	next := s.rings[rc.index+1]
+	next.state = ringFlashing
+	if s.recording() {
+		s.record(int64(s.tick), "ctrlplane.ring.flash", map[string]any{
+			"ring": next.index, "size": len(next.machines),
+		})
 	}
 }
 
@@ -942,8 +981,7 @@ func (s *Service) decideHealth(rc *ringCtl) {
 	s.gateEvals++
 	decisionsMade.Inc()
 	rep := &fleet.RingReport{
-		Index: rc.index, Size: len(rc.machines),
-		Installed: rc.installed, Quarantined: quarantined, Soaked: true,
+		Size: len(rc.machines), Installed: rc.installed, Quarantined: quarantined,
 	}
 	for _, sh := range s.shards {
 		acc := &sh.rings[rc.index]
@@ -958,6 +996,11 @@ func (s *Service) decideHealth(rc *ringCtl) {
 		s.haltAndRollback(rc, f)
 		return
 	}
+	s.promote(rc)
+}
+
+// promote marks rc promoted at this tick.
+func (s *Service) promote(rc *ringCtl) {
 	rc.state = ringPromoted
 	rc.promotedTick = s.tick
 	if s.recording() {
@@ -995,6 +1038,8 @@ func (s *Service) haltAndRollback(rc *ringCtl, reason string) {
 	}
 	s.rolledBack = true
 	s.rollbackFlashes = len(ids)
+	rollbacks.Inc()
+	rollbackFlashes.Add(int64(len(ids)))
 	if s.recording() {
 		s.record(int64(s.tick), "ctrlplane.ring.halt", map[string]any{
 			"ring": rc.index, "reason": reason,
@@ -1003,18 +1048,4 @@ func (s *Service) haltAndRollback(rc *ringCtl, reason string) {
 			"machines": len(ids),
 		})
 	}
-}
-
-// hashU64 is the repo's stateless splitmix64-style mix (mirroring
-// internal/fleet's transport hash) over (seed, op, draw).
-func hashU64(seed int64, op, draw int) uint64 {
-	x := uint64(seed)
-	x ^= uint64(op+1) * 0x9E3779B97F4A7C15
-	x ^= uint64(draw+1) * 0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"time"
 
+	"clustergate/internal/fault"
 	"clustergate/internal/fleet"
 	"clustergate/internal/parallel"
 )
@@ -201,6 +202,6 @@ func (s *Service) synthesize(m int, mc *machineCtl, k int) interval {
 		return interval{machine: m, ring: mc.ring, crashed: true, tick: s.tick}
 	}
 	draw := s.tick*s.cfg.IntervalsPerTick + k
-	wi := int(hashU64(s.cfg.Seed^saltTel, m, draw) % uint64(len(mc.profile.Windows)))
+	wi := int(fault.HashU64(s.cfg.Seed^saltTel, m, draw) % uint64(len(mc.profile.Windows)))
 	return interval{machine: m, ring: mc.ring, tick: s.tick, stat: mc.profile.Windows[wi]}
 }

@@ -53,7 +53,7 @@ func ctrlplaneConfig(e *Env, n int) ctrlplane.Config {
 		Workers:       e.Scale.Workers,
 		Seed:          e.Seed,
 		FlashPerTick:  n / 8,
-		Gate:          *looseGate(),
+		Gate:          looseGate(),
 		Guardrail:     core.DefaultGuardrail(),
 		Verify:        true,
 		CorruptProb:   0.2,

@@ -52,14 +52,14 @@ type Scale struct {
 	SweepTraces int
 
 	// FleetMachines is the simulated fleet size of the rollout study. Must
-	// stay divisible by 12 so the staged ring layouts and the big-bang wave
-	// schedule land on the same time-to-full-fleet. Zero selects 24.
+	// stay divisible by 12 so the staged ring layouts are whole machines
+	// and every arm flashes n/6 machines a tick. Zero selects 24.
 	FleetMachines int
 
 	// CtrlMachines is the simulated datacenter size of the control-plane
 	// soak study (exp ctrlplane-soak). Unlike FleetMachines it has no
-	// divisibility constraint — the control plane sizes its rings by
-	// fraction. Zero selects 10_000.
+	// divisibility constraint — its rings are default fleet fractions.
+	// Zero selects 10_000.
 	CtrlMachines int
 
 	// Workers bounds every worker pool the experiments fan out on —

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"clustergate/internal/core"
+	"clustergate/internal/ctrlplane"
 	"clustergate/internal/fleet"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
@@ -23,7 +25,8 @@ type FleetRolloutRow struct {
 	Gated       bool
 	CorruptProb float64
 
-	// Good-image outcome.
+	// Good-image outcome. TimeSteps is the campaign's length in ticks;
+	// Completed reports every machine ended on the new image.
 	Installed, Exposed, Rejected int
 	CRCRejects, FlashRetries     int
 	TimeSteps                    int
@@ -54,11 +57,12 @@ type FleetRolloutResult struct {
 	Rows   []FleetRolloutRow
 }
 
-// rolloutArm is one policy × corruption-rate grid point.
+// rolloutArm is one policy × corruption-rate grid point: the ring sizes
+// it intends and the control-plane campaign that runs it.
 type rolloutArm struct {
 	Key, Label string
-	Corrupt    float64
-	cfg        fleet.Config
+	Rings      []int
+	cfg        ctrlplane.Config
 }
 
 // looseGate tolerates transport noise (CRC rejections are retried, not
@@ -69,44 +73,54 @@ type rolloutArm struct {
 // of them (measured across controller families and trace scales, the gap
 // is roughly 0.2 versus 0.45+). Trips per machine and the SLA-window rate
 // back it up as the catastrophic-collapse alarms.
-func looseGate() *fleet.GatePolicy {
-	return &fleet.GatePolicy{MaxCRCRejectRate: 1, MaxTripsPerMachine: 3, MaxSLARate: 0.5, MaxMisgateRate: 0.35}
+func looseGate() fleet.GatePolicy {
+	return fleet.GatePolicy{MaxCRCRejectRate: 1, MaxTripsPerMachine: 3, MaxSLARate: 0.5, MaxMisgateRate: 0.35}
 }
 
 // strictGate also treats transport corruption itself as a stop signal.
-func strictGate() *fleet.GatePolicy {
-	return &fleet.GatePolicy{MaxCRCRejectRate: 0.34, MaxTripsPerMachine: 1.5, MaxSLARate: 0.25, MaxMisgateRate: 0.3}
+func strictGate() fleet.GatePolicy {
+	return fleet.GatePolicy{MaxCRCRejectRate: 0.34, MaxTripsPerMachine: 1.5, MaxSLARate: 0.25, MaxMisgateRate: 0.3}
 }
 
 // rolloutArms builds the policy grid for an n-machine fleet. n must be
-// divisible by 12 so staged (3 flash waves + 3 soak steps) and big-bang
-// (n/6 machines per wave, 6 waves) land on the same time-to-full-fleet —
-// the frontier compares exposure at equal rollout duration.
+// divisible by 12 so every ring is a whole number of machines. Every arm
+// flashes n/6 machines a tick: a big bang takes 6 ticks, and a staged
+// arm, whose next ring flashes while the previous one soaks, at most
+// SoakTicks+1 more. Big-bang arms run ungated (the zero gate). Gated arms
+// start a ring's soak once half of it has installed, re-flash its
+// stragglers, and judge it after one tick of 8 intervals per machine: the
+// control plane's defaults (quorum 0.95, 3 soak ticks of 2 intervals)
+// halt healthy rollouts on rings this small.
 func rolloutArms(n int) []rolloutArm {
 	staged := []int{n / 12, n / 4, n - n/12 - n/4}
 	wide := []int{n / 6, n / 3, n - n/6 - n/3}
-	mk := func(key, label string, corrupt float64, cfg fleet.Config) rolloutArm {
-		cfg.Machines = n
-		cfg.CorruptProb = corrupt
-		cfg.FlashFailProb = 0.25
-		cfg.FlashRetries = 3
-		cfg.Guardrail = core.DefaultGuardrail()
-		return rolloutArm{Key: key, Label: label, Corrupt: corrupt, cfg: cfg}
+	mk := func(key, label string, corrupt float64, rings []int, verify bool, gate fleet.GatePolicy) rolloutArm {
+		cfg := ctrlplane.Config{
+			Machines: n, FlashPerTick: n / 6, Gate: gate, Verify: verify,
+			CorruptProb: corrupt, FlashFailProb: 0.25, FlashRetries: 3,
+			Guardrail:    core.DefaultGuardrail(),
+			LatencyScope: "ctrlplane.rollout.decision.latency",
+		}
+		for _, r := range rings {
+			cfg.RingFracs = append(cfg.RingFracs, float64(r)/float64(n))
+		}
+		if gate != (fleet.GatePolicy{}) {
+			cfg.SoakTicks, cfg.IntervalsPerTick, cfg.Quorum = 1, 8, 0.5
+		}
+		return rolloutArm{Key: key, Label: label, Rings: rings, cfg: cfg}
 	}
 	bigbang := func(corrupt float64) rolloutArm {
 		return mk(fmt.Sprintf("bigbang-%02.0f", 100*corrupt), "big-bang unverified", corrupt,
-			fleet.Config{FlashPerStep: n / 6})
+			[]int{n}, false, fleet.GatePolicy{})
 	}
-	stagedArm := func(key, label string, corrupt float64, rings []int, gate *fleet.GatePolicy) rolloutArm {
-		return mk(fmt.Sprintf("%s-%02.0f", key, 100*corrupt), label, corrupt,
-			fleet.Config{Rings: rings, Verify: true, Gate: gate})
+	stagedArm := func(key, label string, corrupt float64, rings []int, gate fleet.GatePolicy) rolloutArm {
+		return mk(fmt.Sprintf("%s-%02.0f", key, 100*corrupt), label, corrupt, rings, true, gate)
 	}
 	return []rolloutArm{
 		bigbang(0),
 		bigbang(0.2),
 		bigbang(0.45),
-		mk("bigbang-crc-20", "big-bang CRC-verified", 0.2,
-			fleet.Config{Verify: true, FlashPerStep: n / 6}),
+		mk("bigbang-crc-20", "big-bang CRC-verified", 0.2, []int{n}, true, fleet.GatePolicy{}),
 		stagedArm("staged", "staged+gated", 0, staged, looseGate()),
 		stagedArm("staged", "staged+gated", 0.2, staged, looseGate()),
 		stagedArm("staged", "staged+gated", 0.45, staged, looseGate()),
@@ -121,9 +135,9 @@ func rolloutArms(n int) []rolloutArm {
 // semantically bad image — the controller with its calibrated gating
 // thresholds destroyed, a firmware hotfix gone wrong — over a clean
 // transport, measuring how many machines each policy lets the bad image
-// reach before the health gate stops it. Arms fan out through the worker
-// pool and fold in grid order; the whole study inherits the fleet
-// package's determinism contract.
+// reach before the health gate stops it. Each rollout is a control-plane
+// campaign. Arms fan out through the worker pool and fold in grid order;
+// the whole study inherits the control plane's determinism contract.
 func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error) {
 	defer obs.Start("fleet.rollout.study").End()
 	n := e.Scale.FleetMachines
@@ -159,35 +173,29 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 			good.Name = "fleet/" + a.Key + "/good"
 			good.Seed = e.Seed + int64(k)
 			good.Workers = e.Scale.Workers
-			gr, err := fleet.Run(good, img.Bytes(), wl)
+			gr, err := runArm(good, a.Rings, img.Bytes(), wl)
 			if err != nil {
 				return FleetRolloutRow{}, fmt.Errorf("experiments: rollout arm %s: %w", a.Key, err)
 			}
 			// The bad-image counterfactual runs over a clean transport so
 			// the blast radius isolates the semantic failure.
-			badCfg := a.cfg
+			badCfg := good
 			badCfg.Name = "fleet/" + a.Key + "/bad"
-			badCfg.Seed = e.Seed + int64(k)
-			badCfg.Workers = e.Scale.Workers
 			badCfg.CorruptProb = 0
-			br, err := fleet.Run(badCfg, badImg.Bytes(), wl)
+			br, err := runArm(badCfg, a.Rings, badImg.Bytes(), wl)
 			if err != nil {
 				return FleetRolloutRow{}, fmt.Errorf("experiments: rollout arm %s (bad image): %w", a.Key, err)
 			}
-			rings := a.cfg.Rings
-			if len(rings) == 0 {
-				rings = []int{n}
-			}
 			return FleetRolloutRow{
 				Key: a.Key, Label: a.Label,
-				Rings: rings, Verify: a.cfg.Verify, Gated: a.cfg.Gate != nil,
-				CorruptProb: a.Corrupt,
+				Rings: a.Rings, Verify: a.cfg.Verify, Gated: a.cfg.Gate != (fleet.GatePolicy{}),
+				CorruptProb: a.cfg.CorruptProb,
 				Installed:   gr.Installed, Exposed: gr.Exposed, Rejected: gr.Rejected,
 				CRCRejects: gr.CRCRejects, FlashRetries: gr.FlashRetries,
-				TimeSteps: gr.TimeSteps, Completed: gr.Completed, GateFailure: gr.GateFailure,
-				BadFlashed: br.Flashed, BadCaught: br.RolledBack, BadCaughtRing: br.GateFailedRing,
+				TimeSteps: gr.Ticks, Completed: gr.Installed == n, GateFailure: gr.HaltReason,
+				BadFlashed: br.Flashed, BadCaught: br.RolledBack, BadCaughtRing: br.HaltedRing,
 				BadRollbackFlashes: br.RollbackFlashes, BadRollbackRetries: br.RollbackRetries,
-				BadTimeSteps: br.TimeSteps,
+				BadTimeSteps: br.Ticks,
 			}, nil
 		})
 	if err != nil {
@@ -199,6 +207,28 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 		Traces:   len(traces),
 		Rows:     rows,
 	}, nil
+}
+
+// runArm runs one rollout campaign and checks it laid out the intended
+// rings: the control plane sizes rings from fleet fractions, which must
+// round back to whole machines.
+func runArm(cfg ctrlplane.Config, rings []int, img []byte, wl fleet.Workload) (*ctrlplane.Report, error) {
+	s, err := ctrlplane.New(cfg, img, wl)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := s.Run()
+	if err != nil {
+		return nil, err
+	}
+	sizes := make([]int, len(rep.Rings))
+	for i, st := range rep.Rings {
+		sizes[i] = st.Size
+	}
+	if !slices.Equal(sizes, rings) {
+		return nil, fmt.Errorf("campaign laid out rings of %v machines, want %v", sizes, rings)
+	}
+	return rep, nil
 }
 
 // ringsLabel renders a ring layout compactly.

@@ -160,9 +160,13 @@ func TestObservabilityEventLogDeterminism(t *testing.T) {
 		t.Fatal("instrumented rollout study produced an empty event log")
 	}
 	// The study must have exercised the interesting event paths: CRC
-	// rejections (verified arms under 20%/45% corruption), ring promotions
-	// (gated arms of a healthy image), and the rollback of the bad image.
-	for _, kind := range []string{"fleet.crc.reject", "fleet.ring.promote", "fleet.ring.halt", "fleet.rollback"} {
+	// rejections (verified arms under 20%/45% corruption), ring soaks,
+	// flashes and promotions (gated arms of a healthy image), and the halt
+	// and rollback of the bad image.
+	for _, kind := range []string{
+		"fleet.crc.reject", "ctrlplane.ring.soak", "ctrlplane.ring.flash",
+		"ctrlplane.ring.promote", "ctrlplane.ring.halt", "ctrlplane.rollback",
+	} {
 		if !bytes.Contains(ev1, []byte(`"kind":"`+kind+`"`)) {
 			t.Errorf("event log missing %q events", kind)
 		}

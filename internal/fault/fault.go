@@ -245,7 +245,7 @@ func (inj *Injector) ForTrace(traceSeed int64) *TraceInjector {
 		if r.Class != TraceOutage {
 			continue
 		}
-		if hash01(inj.plan.Seed^0x6f7574 /* "out" */, ri, int(traceSeed)) < r.Rate {
+		if Hash01(inj.plan.Seed^0x6f7574 /* "out" */, ri, int(traceSeed)) < r.Rate {
 			burst := r.Burst
 			if burst < 1 {
 				burst = 1
@@ -360,7 +360,7 @@ func (ti *TraceInjector) Telemetry(idx int, base, prev []float64) (out []float64
 			for i, v := range base {
 				// A seed-chosen half of the signals overscale, producing
 				// physically inconsistent readings.
-				if hash01(ti.seed^0x676c /* "gl" */, ri, idx*1031+i) < 0.5 {
+				if Hash01(ti.seed^0x676c /* "gl" */, ri, idx*1031+i) < 0.5 {
 					v *= factor
 				}
 				glitched[i] = v
@@ -446,7 +446,7 @@ func FlipBits(data []byte, seed int64, n int) []int {
 	chosen := make(map[int]bool, n)
 	out := make([]int, 0, n)
 	for k := 0; len(out) < n; k++ {
-		pos := int(hashU64(seed^0x626974 /* "bit" */, 0, k) % uint64(bits))
+		pos := int(HashU64(seed^0x626974 /* "bit" */, 0, k) % uint64(bits))
 		if chosen[pos] {
 			continue
 		}
@@ -459,7 +459,7 @@ func FlipBits(data []byte, seed int64, n int) []int {
 }
 
 // activeAt reports whether rule ri covers index idx: a burst of r.Burst
-// indices starts at any index s with hash01(seed, ri, s) < r.Rate, so idx
+// indices starts at any index s with Hash01(seed, ri, s) < r.Rate, so idx
 // is covered when any s in (idx-burst, idx] starts one.
 func activeAt(seed int64, ri, idx int, r Rule) bool {
 	if r.Rate <= 0 || idx < 0 {
@@ -470,18 +470,21 @@ func activeAt(seed int64, ri, idx int, r Rule) bool {
 		burst = 1
 	}
 	for s := idx; s > idx-burst && s >= 0; s-- {
-		if hash01(seed, ri, s) < r.Rate {
+		if Hash01(seed, ri, s) < r.Rate {
 			return true
 		}
 	}
 	return false
 }
 
-// hashU64 mixes (seed, rule, index) through the splitmix64 finaliser —
-// stateless, so schedules are independent of query order and worker count.
-func hashU64(seed int64, rule, idx int) uint64 {
+// HashU64 mixes (seed, key, index) through the splitmix64 finaliser —
+// stateless, so schedules are independent of query order and worker
+// count. It is the one scheduling hash of the repo: fault schedules, the
+// fleet's transport draws and the control plane's telemetry picks all
+// derive from it, each domain salting the seed.
+func HashU64(seed int64, key, idx int) uint64 {
 	x := uint64(seed)
-	x ^= uint64(rule+1) * 0x9E3779B97F4A7C15
+	x ^= uint64(key+1) * 0x9E3779B97F4A7C15
 	x ^= uint64(idx+1) * 0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -491,7 +494,7 @@ func hashU64(seed int64, rule, idx int) uint64 {
 	return x
 }
 
-// hash01 maps (seed, rule, index) to a uniform [0,1) double.
-func hash01(seed int64, rule, idx int) float64 {
-	return float64(hashU64(seed, rule, idx)>>11) / float64(1<<53)
+// Hash01 maps (seed, key, index) to a uniform [0,1) double.
+func Hash01(seed int64, key, idx int) float64 {
+	return float64(HashU64(seed, key, idx)>>11) / float64(1<<53)
 }

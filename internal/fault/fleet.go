@@ -70,7 +70,7 @@ func (f *FleetInjector) lifecycle(m int) (mode, at, dur int, found bool) {
 		if r.Class != MachineChurn {
 			continue
 		}
-		if hash01(f.seed^saltChurn, ri, m) >= r.Rate {
+		if Hash01(f.seed^saltChurn, ri, m) >= r.Rate {
 			continue
 		}
 		span := r.Span
@@ -81,9 +81,9 @@ func (f *FleetInjector) lifecycle(m int) (mode, at, dur int, found bool) {
 		if burst < 1 {
 			burst = 1
 		}
-		mode = int(hashU64(f.seed^saltChurnMode, ri, m) % 3)
-		at = 1 + int(hashU64(f.seed^saltChurnAt, ri, m)%uint64(span))
-		dur = 1 + int(hashU64(f.seed^saltChurnDur, ri, m)%uint64(burst))
+		mode = int(HashU64(f.seed^saltChurnMode, ri, m) % 3)
+		at = 1 + int(HashU64(f.seed^saltChurnAt, ri, m)%uint64(span))
+		dur = 1 + int(HashU64(f.seed^saltChurnDur, ri, m)%uint64(burst))
 		return mode, at, dur, true
 	}
 	return 0, 0, 0, false
@@ -124,14 +124,14 @@ func (f *FleetInjector) Delay(m, t, k int) int {
 			continue
 		}
 		idx := (m*2_097_169+t)*131 + k
-		if hash01(f.seed^saltDelay, ri, idx) >= r.Rate {
+		if Hash01(f.seed^saltDelay, ri, idx) >= r.Rate {
 			continue
 		}
 		burst := r.Burst
 		if burst < 1 {
 			burst = 1
 		}
-		d := 1 + int(hashU64(f.seed^saltDelayDur, ri, idx)%uint64(burst))
+		d := 1 + int(HashU64(f.seed^saltDelayDur, ri, idx)%uint64(burst))
 		if d > out {
 			out = d
 		}
@@ -156,7 +156,7 @@ func (f *FleetInjector) Stalled(m, t int) bool {
 		if vshards <= 0 {
 			vshards = 8
 		}
-		sseed := int64(hashU64(f.seed^saltStall, ri, m%vshards))
+		sseed := int64(HashU64(f.seed^saltStall, ri, m%vshards))
 		if activeAt(sseed, ri, t, r) {
 			return true
 		}

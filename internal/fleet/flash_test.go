@@ -9,7 +9,43 @@ import (
 	"clustergate/internal/dataset"
 	"clustergate/internal/fault"
 	"clustergate/internal/mcu"
+	"clustergate/internal/ml"
+	"clustergate/internal/ml/linear"
+	"clustergate/internal/telemetry"
 )
+
+// testImage seals a never-gating controller (a constant-low logistic);
+// it simulates nothing, so the flash-step tests run in -short.
+func testImage(t *testing.T, cfg dataset.Config) []byte {
+	t.Helper()
+	cs := telemetry.NewStandardCounterSet()
+	cols, err := core.ColumnsByName(cs, telemetry.Table4Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cols)
+	std := make([]float64, n)
+	for i := range std {
+		std[i] = 1
+	}
+	lg := &linear.Logistic{
+		W: make([]float64, n), B: -4, // sigmoid(-4) ≈ 0.02: never gate
+		Scaler: &ml.Scaler{Mean: make([]float64, n), Std: std},
+	}
+	g := &core.GatingController{
+		Name:     "fleet-never-gate",
+		HighPerf: core.PointPredictor{M: lg}, LowPower: core.PointPredictor{M: lg},
+		ThresholdHigh: 0.5, ThresholdLow: 0.5,
+		Interval: cfg.Interval, Granularity: 2 * cfg.Interval,
+		Counters: cs, Columns: cols,
+		SLA: dataset.SLA{PSLA: 0.9},
+	}
+	var buf bytes.Buffer
+	if err := core.SaveController(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // coldFlash is the flash step without the shared decode: every attempt
 // decodes its own payload from scratch through the full loader. It is the
@@ -25,7 +61,7 @@ func coldFlash(s *FlashSpec, machine, phase int) FlashOutcome {
 
 func coldAttempt(s *FlashSpec, machine, phase, a int, out *FlashOutcome) bool {
 	out.Attempts++
-	if a < s.Retries && hash01(s.Seed^saltFlash, opKey(machine, phase), a) < s.FailProb {
+	if a < s.Retries && fault.Hash01(s.Seed^saltFlash, opKey(machine, phase), a) < s.FailProb {
 		out.Retries++
 		return false
 	}
@@ -35,11 +71,11 @@ func coldAttempt(s *FlashSpec, machine, phase, a int, out *FlashOutcome) bool {
 	}
 	payload := s.Img
 	corrupt := s.CorruptProb > 0 &&
-		hash01(s.Seed^saltCorrupt, opKey(machine, phase), a) < s.CorruptProb
+		fault.Hash01(s.Seed^saltCorrupt, opKey(machine, phase), a) < s.CorruptProb
 	if corrupt {
 		payload = append([]byte(nil), s.Img...)
 		fault.FlipBits(payload,
-			int64(hashU64(s.Seed^saltFlip, opKey(machine, phase), a)), s.CorruptBits)
+			int64(fault.HashU64(s.Seed^saltFlip, opKey(machine, phase), a)), s.CorruptBits)
 	}
 	if s.Verify {
 		g, err := core.LoadController(bytes.NewReader(payload))

@@ -18,10 +18,8 @@ import (
 // This file is the reusable step layer of the rollout machinery: the flash
 // transport model (FlashSpec.Flash), the soak health evaluation (Soaker),
 // and the gate predicates (GatePolicy.TransportFailure/HealthFailure) as
-// free-standing building blocks. Run composes them into the batch rollout;
-// internal/ctrlplane composes the same steps into its continuous control
-// loop, so both layers share one transport model, one health accounting,
-// and one gate semantics.
+// free-standing building blocks, which internal/ctrlplane composes into
+// its control loop.
 
 // Flash phases, mixed into the operation key so install and rollback
 // flashes of the same machine draw independent schedules. Adding a third
@@ -60,10 +58,12 @@ type FlashSpec struct {
 	// spec (a re-flash pass, a checkpoint replay) share that decode.
 	// Required when Img is set.
 	Decode func() (*core.GatingController, error)
-	// Verify selects the CRC-checked install path; see Config.Verify.
+	// Verify selects the CRC-checked install path: corrupted payloads are
+	// rejected at the envelope and the transfer is retried. False models
+	// the legacy pipeline that installs whatever arrives.
 	Verify bool
-	// CorruptProb and CorruptBits are the per-transfer corruption model;
-	// see Config.
+	// CorruptProb is the per-transfer probability that the payload
+	// arrives with CorruptBits seeded bit flips.
 	CorruptProb float64
 	CorruptBits int
 	// FailProb is the per-attempt transient-failure probability; the
@@ -139,7 +139,7 @@ func (s *FlashSpec) attempt(machine, phase, a int, out *FlashOutcome) bool {
 	defer func(t0 time.Time) { flashLatency.Observe(time.Since(t0)) }(time.Now())
 	// Transient flash failure: scheduled to never hit a machine's final
 	// attempt, so retries always absorb it.
-	if a < s.Retries && hash01(s.Seed^saltFlash, opKey(machine, phase), a) < s.FailProb {
+	if a < s.Retries && fault.Hash01(s.Seed^saltFlash, opKey(machine, phase), a) < s.FailProb {
 		out.Retries++
 		flashRetries.Inc()
 		return false
@@ -151,14 +151,14 @@ func (s *FlashSpec) attempt(machine, phase, a int, out *FlashOutcome) bool {
 	}
 	// The transfer itself: each attempt draws corruption afresh.
 	corrupt := s.CorruptProb > 0 &&
-		hash01(s.Seed^saltCorrupt, opKey(machine, phase), a) < s.CorruptProb
+		fault.Hash01(s.Seed^saltCorrupt, opKey(machine, phase), a) < s.CorruptProb
 	var g *core.GatingController
 	var err error
 	if corrupt {
 		// A damaged payload is this attempt's own: decode it from scratch.
 		payload := append([]byte(nil), s.Img...)
 		fault.FlipBits(payload,
-			int64(hashU64(s.Seed^saltFlip, opKey(machine, phase), a)), s.CorruptBits)
+			int64(fault.HashU64(s.Seed^saltFlip, opKey(machine, phase), a)), s.CorruptBits)
 		load := core.LoadControllerUnverified
 		if s.Verify {
 			load = core.LoadController

@@ -13,12 +13,8 @@ import (
 // incident without holding whole deployments in memory.
 const DefaultFlightCap = 64
 
-// FlightSample is one sim-time sample in a flight recorder. T is the
-// producer's logical clock (global interval index for deployments, ring
-// index for rollouts); the remaining fields are producer-specific and
-// omitted when zero, so deployment samples (ipc/power/derate/guardrail)
-// and fleet ring-health samples (installed/exposed/violations) share one
-// schema.
+// FlightSample is one sim-time sample in a deployment's flight recorder.
+// T is the global interval index; the other fields are omitted when zero.
 type FlightSample struct {
 	T         int64   `json:"t"`
 	IPC       float64 `json:"ipc,omitempty"`
@@ -27,19 +23,14 @@ type FlightSample struct {
 	Gated     int     `json:"gated,omitempty"`
 	Backoff   int     `json:"backoff,omitempty"`
 	Trips     int     `json:"trips,omitempty"`
-
-	Installed  int `json:"installed,omitempty"`
-	Exposed    int `json:"exposed,omitempty"`
-	Windows    int `json:"windows,omitempty"`
-	Violations int `json:"violations,omitempty"`
 }
 
 // Flight is a sim-time flight recorder: a bounded ring buffer of
-// per-interval samples attached to one deployment or rollout. Recording
-// overwrites the oldest sample once the ring is full, so the last N
-// intervals before any incident are always reconstructable; DumpIncident
-// freezes the ring into the active event log at the moment something
-// goes wrong (a guardrail trip, a halted rollout). Samples carry only
+// per-interval samples attached to one deployment. Recording overwrites
+// the oldest sample once the ring is full, so the last N intervals before
+// any incident are always reconstructable; DumpIncident freezes the ring
+// into the active event log at the moment something goes wrong (a
+// guardrail trip). Samples carry only
 // simulation-derived values, so a flight recorder's contents — like the
 // event log's — are deterministic at any worker count. A nil Flight
 // no-ops on every method.
