@@ -132,7 +132,7 @@ func (s *Summary) MeanBenchmarkPPWGain() float64 {
 // EvaluateOnCorpus deploys the controller on every trace of the corpus
 // through oracle and aggregates overall and per-benchmark results. tel
 // must be the corpus's fixed-mode telemetry in trace order (as produced by
-// SimulateCorpus). Pass ExactOracle{} to deploy on the cycle model.
+// dataset.SimulateCorpus). Pass ExactOracle{} to deploy on the cycle model.
 //
 // Per-trace deployments are independent (the controller is read-only
 // during a deployment; all mutable state is trace-local), so they fan out

@@ -23,19 +23,18 @@ const (
 // SimOracle is the single seam through which the soak-dominated paths —
 // corpus evaluation, guardrail and fleet sweeps, pristine soaks — reach
 // the simulator, so exact/surrogate/validate mode selection lives in one
-// place. Deploy runs one closed-loop deployment; SimulateCorpus records
-// fixed-mode telemetry (always on the exact simulator — recordings are
-// the surrogate's own input, so there is no fast path for them).
+// place. Deploy runs one closed-loop deployment. Fixed-mode recordings
+// are not behind the seam: they are the surrogate's own input, always
+// exact, and callers take them from dataset.SimulateCorpusCached.
 type SimOracle interface {
 	Mode() SimMode
 	Deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 		cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error)
-	SimulateCorpus(c *trace.Corpus, cfg dataset.Config, cacheDir string) ([]*dataset.TraceTelemetry, error)
 }
 
 // ExactOracle is the exact cycle-level simulator behind the SimOracle
-// seam: thin delegation to DeployWithOptions and the memoised corpus
-// simulator, byte-identical to calling them directly.
+// seam: thin delegation to DeployWithOptions, byte-identical to calling
+// it directly.
 type ExactOracle struct{}
 
 // Mode returns SimExact.
@@ -45,10 +44,4 @@ func (ExactOracle) Mode() SimMode { return SimExact }
 func (ExactOracle) Deploy(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
 	return DeployWithOptions(g, tr, ref, cfg, pm, opts)
-}
-
-// SimulateCorpus delegates to the memoised exact simulator; an empty
-// cacheDir simulates without touching disk.
-func (ExactOracle) SimulateCorpus(c *trace.Corpus, cfg dataset.Config, cacheDir string) ([]*dataset.TraceTelemetry, error) {
-	return dataset.SimulateCorpusCached(c, cfg, cacheDir)
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"clustergate/internal/ml"
 	"clustergate/internal/obs"
@@ -126,28 +125,14 @@ func recordMode(tape *uarch.Tape, cfg Config, mode uarch.Mode) []IntervalRecord 
 }
 
 // SimulateCorpus records every trace of a corpus, fanning traces out over
-// cfg.Workers workers (0 = all cores) with retries and a generous per-trace
-// timeout, so a wedged worker cannot hang a multi-hour corpus build. Each
-// trace carries its own seed and simulates in isolated state, so the result
-// — including any retried trace — is identical, record for record, at any
-// worker count. Should the hardened fan-out still fail, the corpus is
-// re-simulated serially: simulation is infallible apart from scheduling, so
-// the serial pass always completes.
+// cfg.Workers workers (0 = all cores). Each trace carries its own seed and
+// simulates in isolated state, so the result is identical, record for
+// record, at any worker count.
 func SimulateCorpus(c *trace.Corpus, cfg Config) []*TraceTelemetry {
-	out, err := parallel.MapOpt(len(c.Traces), parallel.Options{
-		Workers: cfg.Workers,
-		Retries: 2,
-		Timeout: 30 * time.Minute,
-	}, func(i int) (*TraceTelemetry, error) {
+	// SimulateTrace cannot fail, so neither can the fan-out.
+	out, _ := parallel.Map(cfg.Workers, len(c.Traces), func(i int) (*TraceTelemetry, error) {
 		return SimulateTrace(c.Traces[i], cfg), nil
 	})
-	if err == nil {
-		return out
-	}
-	out = make([]*TraceTelemetry, len(c.Traces))
-	for i := range c.Traces {
-		out[i] = SimulateTrace(c.Traces[i], cfg)
-	}
 	return out
 }
 

@@ -153,8 +153,8 @@ type Env struct {
 }
 
 // SimOracle returns the environment's simulation oracle, defaulting to
-// the exact simulator. Experiments must reach Deploy/SimulateCorpus
-// through it so exact/surrogate/validate selection stays in one place.
+// the exact simulator. Experiments must reach Deploy through it so
+// exact/surrogate/validate selection stays in one place.
 func (e *Env) SimOracle() core.SimOracle {
 	if e.Sim != nil {
 		return e.Sim
@@ -203,7 +203,7 @@ func NewEnvLogged(scale Scale, cacheDir string, seed int64, log io.Writer) (*Env
 	var err error
 	start := time.Now()
 	simSpan := obs.Start("env/hdtr-telemetry")
-	e.HDTRTel, err = e.SimOracle().SimulateCorpus(e.HDTR, e.Cfg, cacheDir)
+	e.HDTRTel, err = dataset.SimulateCorpusCached(e.HDTR, e.Cfg, cacheDir)
 	simSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: HDTR telemetry: %w", err)
@@ -212,7 +212,7 @@ func NewEnvLogged(scale Scale, cacheDir string, seed int64, log io.Writer) (*Env
 
 	start = time.Now()
 	simSpan = obs.Start("env/spec-telemetry")
-	e.SPECTel, err = e.SimOracle().SimulateCorpus(e.SPEC, e.Cfg, cacheDir)
+	e.SPECTel, err = dataset.SimulateCorpusCached(e.SPEC, e.Cfg, cacheDir)
 	simSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: SPEC telemetry: %w", err)

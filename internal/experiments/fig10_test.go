@@ -20,7 +20,7 @@ func TestCorpusForBenchmarkAlignment(t *testing.T) {
 
 func TestBuildInputsForEnvDefaults(t *testing.T) {
 	e := quickEnv(t)
-	in := BuildInputsForEnv(e, 0.8)
+	in := e.buildInputs(0.8)
 	if in.SLA.PSLA != 0.8 {
 		t.Errorf("PSLA = %v, want 0.8", in.SLA.PSLA)
 	}

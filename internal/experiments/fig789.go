@@ -210,12 +210,6 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 	}
 }
 
-// BuildInputsForEnv exposes the environment's standard training inputs to
-// external drivers (cmd/paperbench, examples).
-func BuildInputsForEnv(e *Env, psla float64) core.BuildInputs {
-	return e.buildInputs(psla)
-}
-
 // BuildGeneralBestRF trains the general-purpose Best RF controller.
 func BuildGeneralBestRF(e *Env) (*core.GatingController, error) {
 	defer obs.Start("build.general-best-rf").End()

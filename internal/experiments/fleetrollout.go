@@ -166,7 +166,7 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 	}
 
 	arms := rolloutArms(n)
-	rows, err := parallel.MapOpt(len(arms), parallel.Options{Workers: e.Scale.Workers},
+	rows, err := parallel.Map(e.Scale.Workers, len(arms),
 		func(k int) (FleetRolloutRow, error) {
 			a := arms[k]
 			good := a.cfg

@@ -111,8 +111,7 @@ func GuardrailSweep(e *Env, g *core.GatingController) (*GuardrailSweepResult, er
 	// per-arm statistics (trips, injections, float exposure sums) are
 	// byte-identical at any worker count.
 	configs := SweepConfigs()
-	arms, err := parallel.MapOpt(len(configs)*len(plans),
-		parallel.Options{Workers: e.Scale.Workers},
+	arms, err := parallel.Map(e.Scale.Workers, len(configs)*len(plans),
 		func(k int) (*corpusEffRSV, error) {
 			sc, plan := configs[k/len(plans)], plans[k%len(plans)]
 			inj, err := fault.NewInjector(plan)

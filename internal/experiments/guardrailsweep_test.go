@@ -47,7 +47,7 @@ func sweepTestEnv(t *testing.T, workers int) (*Env, *core.GatingController) {
 }
 
 // TestSweepWorkerIndependence locks the sweep's contract now that the
-// config×plan arms fan out through parallel.MapOpt: identical results,
+// config×plan arms fan out through parallel.Map: identical results,
 // byte-identical rendering, and byte-identical JSON (the -sweepjson
 // payload) at any worker count; every fault class covered with real
 // injections; and the CRC detector rejecting every seeded single-bit

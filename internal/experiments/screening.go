@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
@@ -158,10 +157,8 @@ func flattenTraces(lts []*dataset.LabeledTrace) *ml.Dataset {
 //
 // Folds are fully determined by their index (split and training seeds
 // derive from e.Seed and the fold number), so they fan out over
-// e.Cfg.Workers workers with retries and a per-fold timeout (a hung or
-// transiently failed fold recomputes identically); the fold statistics are
-// then folded serially in fold order, keeping the result bit-identical at
-// any worker count.
+// e.Cfg.Workers workers; the fold statistics are then folded serially in
+// fold order, keeping the result bit-identical at any worker count.
 func (e *Env) Screen(train Trainer, lts []*dataset.LabeledTrace, tuneApps int, thr float64) (ScreenResult, error) {
 	type foldResult struct {
 		pgos, rsv, fpr float64
@@ -169,11 +166,7 @@ func (e *Env) Screen(train Trainer, lts []*dataset.LabeledTrace, tuneApps int, t
 	sp := obs.StartLeaf("screen")
 	defer sp.End()
 	win := e.baseWindow()
-	folds, err := parallel.MapOpt(e.Scale.Folds, parallel.Options{
-		Workers: e.Cfg.Workers,
-		Retries: 2,
-		Timeout: 15 * time.Minute,
-	}, func(f int) (foldResult, error) {
+	folds, err := parallel.Map(e.Cfg.Workers, e.Scale.Folds, func(f int) (foldResult, error) {
 		defer foldsExecuted.Inc()
 		tuneTr, valTr := splitTraces(lts, 0.2, tuneApps, e.Seed+int64(f)*7919)
 		tune := flattenTraces(tuneTr)

@@ -24,24 +24,17 @@ type UarchAblationRow struct {
 // microarchitectural parameters: without the stream prefetcher
 // (bandwidth-bound streaming stops being gateable), with unified MSHRs
 // (the window-bound trap family stops being mode-sensitive), and with
-// doubled DRAM bandwidth.
+// doubled DRAM bandwidth. The baseline row reads the sample's records
+// from the environment, which recorded them under e.Cfg.
 func UarchAblations(e *Env, tracesPerBenchmark int) ([]UarchAblationRow, error) {
 	defer obs.Start("uarch.ablations").End()
-	// Sample the corpus: a few traces per benchmark.
-	counts := map[string]int{}
-	sample := &trace.Corpus{Name: "ablate"}
-	for _, tr := range e.SPEC.Traces {
-		if counts[tr.App.Benchmark] < tracesPerBenchmark {
-			counts[tr.App.Benchmark]++
-			sample.Traces = append(sample.Traces, tr)
-		}
-	}
+	sample, baseline := ablationSample(e, tracesPerBenchmark)
 
 	variants := []struct {
 		label  string
-		mutate func(*uarch.Config)
+		mutate func(*uarch.Config) // nil: e.Cfg, already recorded
 	}{
-		{"baseline", func(c *uarch.Config) {}},
+		{"baseline", nil},
 		{"no stream prefetcher", func(c *uarch.Config) {
 			c.DisablePrefetch = true
 		}},
@@ -58,11 +51,11 @@ func UarchAblations(e *Env, tracesPerBenchmark int) ([]UarchAblationRow, error) 
 
 	out, err := parallel.Map(e.Cfg.Workers, len(variants), func(i int) (UarchAblationRow, error) {
 		v := variants[i]
-		cfg := e.Cfg
-		v.mutate(&cfg.Core)
-		tel, err := e.SimOracle().SimulateCorpus(sample, cfg, "")
-		if err != nil {
-			return UarchAblationRow{}, err
+		tel := baseline
+		if v.mutate != nil {
+			cfg := e.Cfg
+			v.mutate(&cfg.Core)
+			tel = dataset.SimulateCorpus(sample, cfg)
 		}
 		row := UarchAblationRow{Label: v.label}
 		row.Residency = dataset.OracleResidency(tel, dataset.SLA{PSLA: 0.9})
@@ -86,6 +79,22 @@ func UarchAblations(e *Env, tracesPerBenchmark int) ([]UarchAblationRow, error) 
 		e.logf("uarch-ablation %-38s residency=%.3f ipc=%.2f", row.Label, row.Residency, row.MeanIPCHi)
 	}
 	return out, nil
+}
+
+// ablationSample picks the first tracesPerBenchmark traces of every SPEC
+// benchmark, with the environment's records of them.
+func ablationSample(e *Env, tracesPerBenchmark int) (*trace.Corpus, []*dataset.TraceTelemetry) {
+	counts := map[string]int{}
+	sample := &trace.Corpus{Name: "ablate"}
+	var tel []*dataset.TraceTelemetry
+	for i, tr := range e.SPEC.Traces {
+		if counts[tr.App.Benchmark] < tracesPerBenchmark {
+			counts[tr.App.Benchmark]++
+			sample.Traces = append(sample.Traces, tr)
+			tel = append(tel, e.SPECTel[i])
+		}
+	}
+	return sample, tel
 }
 
 // PrintUarchAblations renders the sensitivity table.

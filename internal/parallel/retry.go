@@ -1,64 +1,46 @@
 package parallel
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"time"
-
-	"clustergate/internal/obs"
-)
-
-// ErrTimeout is wrapped into the error returned for a task attempt that
-// exceeded Options.Timeout; test with errors.Is.
-var ErrTimeout = errors.New("parallel: task timed out")
+import "clustergate/internal/obs"
 
 // Options harden a fan-out beyond the plain ForEach/Map semantics. The
 // zero value behaves exactly like ForEach/Map with all cores.
 //
 // Retries make transient failures (injected faults, flaky I/O) invisible
 // to callers: a task is re-run up to Retries extra times before its error
-// counts, with Backoff sleep doubling between attempts. Because every
-// task in this repo is a pure function of its index, a retried task
-// recomputes the identical result, so retries never perturb output —
-// the determinism contract of the package extends to the failure path.
+// counts. Because every task in this repo is a pure function of its
+// index, a retried task recomputes the identical result, so retries never
+// perturb output — the determinism contract of the package extends to
+// the failure path.
 type Options struct {
 	// Workers bounds the pool as in ForEach: 0 selects all cores, 1 the
 	// serial path.
 	Workers int
 	// Retries is the number of additional attempts after a failed one.
 	Retries int
-	// Backoff is the sleep before the first retry, doubling per further
-	// retry up to maxBackoffFactor times the base. Zero retries
-	// immediately.
-	Backoff time.Duration
-	// Timeout bounds each attempt's wall clock; an expired attempt fails
-	// with an error wrapping ErrTimeout (and is retried like any other
-	// failure). Zero disables the bound. The attempt's goroutine is
-	// abandoned, not killed — fn must be side-effect safe to abandon.
-	Timeout time.Duration
 }
 
-// Retry observability: attempts re-run after a failure and attempts
-// abandoned on timeout, for run manifests.
-var (
-	tasksRetried  = obs.NewCounter("parallel.retries")
-	tasksTimedOut = obs.NewCounter("parallel.timeouts")
-)
+// tasksRetried counts attempts re-run after a failure, for run manifests.
+var tasksRetried = obs.NewCounter("parallel.retries")
 
-// ForEachOpt runs fn(i) for every i in [0, n) with the pool, retry, and
-// timeout behaviour of opts. Error semantics match ForEach — the lowest
-// failing index's *final* error is returned — so a fan-out whose
-// transient failures are all absorbed by retries returns nil and is
-// byte-identical to a failure-free run.
+// ForEachOpt runs fn(i) for every i in [0, n) with the pool and retry
+// behaviour of opts. Error semantics match ForEach — the lowest failing
+// index's *final* error is returned — so a fan-out whose transient
+// failures are all absorbed by retries returns nil and is byte-identical
+// to a failure-free run.
 func ForEachOpt(n int, opts Options, fn func(i int) error) error {
 	return ForEach(opts.Workers, n, func(i int) error {
-		return runAttempts(i, opts, fn)
+		for attempt := 0; ; attempt++ {
+			err := fn(i)
+			if err == nil || attempt >= opts.Retries {
+				return err
+			}
+			tasksRetried.Inc()
+		}
 	})
 }
 
-// MapOpt runs fn(i) for every i in [0, n) with the pool, retry, and
-// timeout behaviour of opts and returns the results in index order.
+// MapOpt runs fn(i) for every i in [0, n) with the pool and retry
+// behaviour of opts and returns the results in index order.
 func MapOpt[T any](n int, opts Options, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachOpt(n, opts, func(i int) error {
@@ -73,59 +55,4 @@ func MapOpt[T any](n int, opts Options, fn func(i int) (T, error)) ([]T, error) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// maxBackoffFactor caps the exponential backoff at this multiple of the
-// base Backoff. Unbounded doubling turns a high Retries setting into
-// effectively infinite sleeps (and, past 63 doublings, a negative
-// duration that permanently disables backoff); 64× keeps the usual
-// transient-absorbing ramp while bounding a full retry budget's total
-// sleep to Retries × 64 × Backoff.
-const maxBackoffFactor = 64
-
-// runAttempts executes one task with capped retry-with-backoff and
-// per-attempt timeout.
-func runAttempts(i int, opts Options, fn func(i int) error) error {
-	backoff := opts.Backoff
-	maxBackoff := opts.Backoff
-	if maxBackoff > 0 && maxBackoff < math.MaxInt64/maxBackoffFactor {
-		maxBackoff *= maxBackoffFactor
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = runOne(i, opts.Timeout, fn)
-		if err == nil || attempt >= opts.Retries {
-			return err
-		}
-		tasksRetried.Inc()
-		if backoff > 0 {
-			time.Sleep(backoff)
-			if backoff < maxBackoff/2 {
-				backoff *= 2
-			} else {
-				backoff = maxBackoff
-			}
-		}
-	}
-}
-
-// runOne executes a single attempt, bounded by timeout when nonzero. A
-// timed-out attempt's goroutine keeps running but its result is
-// discarded; the index stays claimed by the pool either way, so the
-// determinism of index-order aggregation is unaffected.
-func runOne(i int, timeout time.Duration, fn func(i int) error) error {
-	if timeout <= 0 {
-		return fn(i)
-	}
-	done := make(chan error, 1)
-	go func() { done <- fn(i) }()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		tasksTimedOut.Inc()
-		return fmt.Errorf("parallel: task %d exceeded %v: %w", i, timeout, ErrTimeout)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestForEachOptRetryRecovers proves transient failures are absorbed: every
@@ -80,72 +79,5 @@ func TestMapOptDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d diverges at %d: %d vs %d", w, i, got[i], ref[i])
 			}
 		}
-	}
-}
-
-// TestForEachOptTimeout proves a hung task fails with ErrTimeout and that
-// the timeout is retried like any other failure.
-func TestForEachOptTimeout(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	err := ForEachOpt(1, Options{Workers: 1, Retries: 1, Timeout: 20 * time.Millisecond}, func(i int) error {
-		mu.Lock()
-		attempts++
-		a := attempts
-		mu.Unlock()
-		if a == 1 {
-			time.Sleep(500 * time.Millisecond) // hang the first attempt
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("retry should recover from the timed-out attempt: %v", err)
-	}
-	mu.Lock()
-	a := attempts
-	mu.Unlock()
-	if a != 2 {
-		t.Fatalf("attempts = %d, want 2", a)
-	}
-
-	err = ForEachOpt(1, Options{Workers: 1, Timeout: 10 * time.Millisecond}, func(i int) error {
-		time.Sleep(500 * time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-}
-
-// TestBackoffCapped locks the backoff bound: a task that fails many times
-// with a nonzero base backoff must complete promptly, because doubling is
-// capped at maxBackoffFactor× the base. Uncapped, 40 doublings of 1µs
-// would sleep ~18 minutes; capped, the whole run sleeps well under a
-// second.
-func TestBackoffCapped(t *testing.T) {
-	const retries = 40
-	var mu sync.Mutex
-	attempts := 0
-	start := time.Now()
-	err := ForEachOpt(1, Options{Workers: 1, Retries: retries, Backoff: time.Microsecond}, func(i int) error {
-		mu.Lock()
-		attempts++
-		a := attempts
-		mu.Unlock()
-		if a <= retries {
-			return fmt.Errorf("transient attempt %d", a)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("retries should absorb every transient failure: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("capped backoff run took %v; doubling is not bounded", elapsed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts != retries+1 {
-		t.Fatalf("attempts = %d, want %d", attempts, retries+1)
 	}
 }

@@ -44,8 +44,7 @@ func (o *OracleOptions) defaults() {
 // relative adaptive-IPC error feeds the surrogate.err histogram and the
 // Check bound; in exact mode (and on any configuration-fingerprint
 // mismatch) it falls back to the exact simulator, counting
-// surrogate.fallback. SimulateCorpus is always exact: recordings are the
-// surrogate's own input.
+// surrogate.fallback.
 type Oracle struct {
 	model *Model
 	mode  core.SimMode
@@ -123,16 +122,6 @@ func (o *Oracle) Deploy(g *core.GatingController, tr *trace.Trace, ref *dataset.
 		surrogateErr.Observe(time.Duration(e * 1e9))
 	}
 	return rep, nil
-}
-
-// SimulateCorpus always records on the exact simulator (memoised when
-// cacheDir is set); in non-exact modes the call counts as a fallback so
-// manifests show how much exact work the surrogate still depends on.
-func (o *Oracle) SimulateCorpus(c *trace.Corpus, cfg dataset.Config, cacheDir string) ([]*dataset.TraceTelemetry, error) {
-	if o.mode != core.SimExact {
-		surrogateFallback.Inc()
-	}
-	return dataset.SimulateCorpusCached(c, cfg, cacheDir)
 }
 
 // relIPCError is the relative adaptive-IPC disagreement between a

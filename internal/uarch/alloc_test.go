@@ -7,10 +7,10 @@ import (
 )
 
 // TestExecuteZeroAllocs pins steady-state Execute to zero heap allocations
-// per call: the scratch buffers grow once on the first call and are reused
-// forever after, and nothing in the probe, timing, or pipelined paths may
-// allocate. A regression here silently re-introduces per-batch garbage in
-// the innermost loop of every experiment.
+// per call: the scratch buffer grows once on the first call and is reused
+// forever after, and nothing in the probe or timing pass may allocate. A
+// regression here silently re-introduces per-batch garbage in the
+// innermost loop of every experiment.
 func TestExecuteZeroAllocs(t *testing.T) {
 	app := trace.NewApplication(2, "allocs", 7)
 	s := trace.NewStream(&trace.Trace{App: app, Seed: 3, NumInstrs: 3 * execChunk})
@@ -26,7 +26,7 @@ func TestExecuteZeroAllocs(t *testing.T) {
 	batch = batch[:n]
 
 	core := NewCore(DefaultConfig())
-	core.Execute(batch) // warm-up: grows scratch, starts the probe pool
+	core.Execute(batch) // warm-up: grows scratch
 
 	if avg := testing.AllocsPerRun(50, func() {
 		core.Execute(batch)

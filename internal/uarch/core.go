@@ -142,11 +142,6 @@ type Core struct {
 	mp      modeParams
 	cc      coreConsts
 	scratch execScratch
-
-	// probeDone signals completion of this core's in-flight probe-pass job
-	// on the shared probe pool (see pipeline.go). At most one job per core
-	// is ever outstanding, so capacity 1 means neither side blocks.
-	probeDone chan struct{}
 }
 
 // timingState is the machine state the timing pass advances, apart from
@@ -185,7 +180,6 @@ func NewCoreInMode(cfg Config, m Mode) *Core {
 	c.itlb = NewCache(cfg.ITLB)
 	c.bp = NewPredictor()
 	c.lastBlock = ^uint64(0)
-	c.probeDone = make(chan struct{}, 1)
 	return c
 }
 
@@ -311,16 +305,6 @@ const execChunk = 2048
 // Cache and predictor state depend only on the instruction stream — never
 // on timing — so the split is exact: counters are byte-identical to
 // per-instruction interleaved execution at any batch size.
-//
-// The split also makes the passes independent across adjacent chunks: the
-// probe pass for chunk k+1 touches only cache, predictor, and I-side state
-// while the timing pass for chunk k touches only cycle rings and queue
-// clocks, and the two write disjoint Events fields. Multi-chunk batches
-// therefore run as a two-stage pipeline — chunk k+1 probes on a shared
-// worker goroutine (pipeline.go) while chunk k is being priced here — with
-// double-buffered scratch and per-chunk handoff through channels. Every
-// pass still sees every instruction in program order, so counters remain
-// byte-identical to the serial schedule.
 func (c *Core) Execute(batch []trace.Instruction) {
 	if len(batch) == 0 {
 		return
@@ -328,18 +312,12 @@ func (c *Core) Execute(batch []trace.Instruction) {
 	before := c.retireMax
 	total := len(batch)
 	t0 := time.Now()
-	c.scratch.grow(execChunk)
-
-	if total > execChunk && probePoolReady() {
-		c.executePipelined(batch)
-	} else {
-		words := c.scratch.words[0]
-		for len(batch) > 0 {
-			n := min(len(batch), execChunk)
-			c.probePass(batch[:n], words[:n])
-			c.timingPass(words[:n])
-			batch = batch[n:]
-		}
+	words := c.scratch.grow(execChunk)
+	for len(batch) > 0 {
+		n := min(len(batch), execChunk)
+		c.probePass(batch[:n], words[:n])
+		c.timingPass(words[:n])
+		batch = batch[n:]
 	}
 	c.account(t0, before, total)
 }
@@ -350,26 +328,6 @@ func (c *Core) account(t0 time.Time, before uint64, n int) {
 	executeLatency.Observe(time.Since(t0))
 	instrsSimulated.Add(int64(n))
 	cyclesSimulated.Add(int64(c.retireMax - before))
-}
-
-// executePipelined overlaps chunk k+1's probe pass with chunk k's timing
-// pass. At most one probe job per core is in flight, which serialises all
-// cache and predictor mutations in program order; the received probeDone
-// signal orders each buffer's writes before the timing pass reads them.
-func (c *Core) executePipelined(batch []trace.Instruction) {
-	k := 0
-	probeJobs <- probeJob{c: c, batch: batch[:execChunk], words: c.scratch.words[0]}
-	for len(batch) > 0 {
-		n := min(len(batch), execChunk)
-		<-c.probeDone
-		if rest := batch[n:]; len(rest) > 0 {
-			m := min(len(rest), execChunk)
-			probeJobs <- probeJob{c: c, batch: rest[:m], words: c.scratch.words[(k+1)&1][:m]}
-		}
-		c.timingPass(c.scratch.words[k&1][:n])
-		batch = batch[n:]
-		k++
-	}
 }
 
 // timingPass assigns fetch, ready, issue, and completion cycles to every

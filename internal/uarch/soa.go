@@ -125,23 +125,21 @@ func buildBubbleLUT(cfg *Config) (t [8]uint64) {
 	return
 }
 
-// execScratch holds two word buffers so the probe pass for chunk k+1 can
-// run concurrently with the timing pass for chunk k (see Execute). The
-// buffers are grown once to the chunk size and reused for every subsequent
-// Execute call, so steady-state execution performs no heap allocations
-// (pinned by TestExecuteZeroAllocs).
+// execScratch holds the word buffer the probe pass fills and the timing
+// pass reads (see Execute). It is grown once to the chunk size and reused
+// for every subsequent Execute call, so steady-state execution performs
+// no heap allocations (pinned by TestExecuteZeroAllocs).
 type execScratch struct {
-	words [2][]uint64
+	words []uint64
 }
 
-func (s *execScratch) grow(n int) {
-	for i := range s.words {
-		if cap(s.words[i]) < n {
-			s.words[i] = make([]uint64, n)
-			continue
-		}
-		s.words[i] = s.words[i][:n]
+// grow sizes the buffer to n words and returns it.
+func (s *execScratch) grow(n int) []uint64 {
+	if cap(s.words) < n {
+		s.words = make([]uint64, n)
 	}
+	s.words = s.words[:n]
+	return s.words
 }
 
 // probePass walks the chunk once in program order, resolving everything

@@ -276,9 +276,9 @@ func (c *Core) replay(t *Tape, i, j int) {
 	}
 	before := c.retireMax
 	t0 := time.Now()
-	c.scratch.grow(execChunk)
+	buf := c.scratch.grow(execChunk)
 	for k := i; k < j; k += execChunk {
-		words := t.span(k, min(j, k+execChunk), c.scratch.words[0])
+		words := t.span(k, min(j, k+execChunk), buf)
 		c.creditWords(words)
 		c.timingPass(words)
 	}

@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+# perfbench is its own module, so ./... above does not reach it; vetting
+# it compiles the benchmark against the internal packages it imports.
+go vet -C perfbench ./...
 
 echo "== lintdoc (package + exported-symbol docs)"
 go run scripts/lintdoc.go
