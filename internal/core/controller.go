@@ -24,7 +24,9 @@ import (
 
 // Predictor is one mode's adaptation model as seen by the controller: it
 // scores a prediction window, receiving both the aggregated counter vector
-// and the per-interval vectors (histogram models use the latter).
+// and the per-interval vectors (histogram models use the latter). The
+// deployment refills the same vectors for every window, so ScoreWindow
+// must not keep agg, perInterval or its vectors after it returns.
 type Predictor interface {
 	ScoreWindow(agg []float64, perInterval [][]float64) float64
 }
@@ -104,16 +106,34 @@ func (g *GatingController) Validate(spec mcu.Spec) error {
 	return nil
 }
 
-// windowVectors converts a window of base-signal deltas into the model's
-// input space through the controller's projection (Counters projected
-// onto Columns): the normalised aggregate vector and per-interval vectors.
-func windowVectors(proj *telemetry.Projection, window [][]float64, rng *rand.Rand) (agg []float64, per [][]float64) {
-	agg = proj.Snapshot(telemetry.Aggregate(window), true, rng)
-	per = make([][]float64, len(window))
-	for i, b := range window {
-		per[i] = proj.Snapshot(b, true, rng)
+// windowBuf holds one deployment's model-input vectors — the window's
+// summed base signals, its aggregate snapshot and one snapshot per
+// interval — which every window refills.
+type windowBuf struct {
+	sum, agg []float64
+	per      [][]float64
+}
+
+// fill converts a window of base-signal deltas into the model's input
+// space through the controller's projection (Counters projected onto
+// Columns): the normalised aggregate vector and per-interval vectors,
+// written into b's vectors, which the next call overwrites.
+func (b *windowBuf) fill(proj *telemetry.Projection, window [][]float64, rng *rand.Rand) (agg []float64, per [][]float64) {
+	b.sum = telemetry.AggregateInto(b.sum, window)
+	b.agg = proj.SnapshotInto(b.agg, b.sum, true, rng)
+	if len(b.per) != len(window) {
+		// The per-interval vectors share one allocation.
+		w := len(b.agg)
+		all := make([]float64, len(window)*w)
+		b.per = make([][]float64, len(window))
+		for i := range b.per {
+			b.per[i] = all[i*w : (i+1)*w : (i+1)*w]
+		}
 	}
-	return agg, per
+	for i, base := range window {
+		b.per[i] = proj.SnapshotInto(b.per[i], base, true, rng)
+	}
+	return b.agg, b.per
 }
 
 // decide runs the mode-appropriate model on a window and applies its

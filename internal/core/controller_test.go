@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clustergate/internal/dataset"
@@ -70,7 +71,8 @@ func TestWindowVectorsColumnSelection(t *testing.T) {
 	base1[0], base1[16], base1[telemetry.NumBase-1] = 100, 10_000, 5_000
 	base2[0], base2[16], base2[telemetry.NumBase-1] = 300, 10_000, 5_000
 
-	agg, per := windowVectors(g.Counters.Project(g.Columns), [][]float64{base1, base2}, rng)
+	var vecs windowBuf
+	agg, per := vecs.fill(g.Counters.Project(g.Columns), [][]float64{base1, base2}, rng)
 	if len(agg) != 2 || len(per) != 2 || len(per[0]) != 2 {
 		t.Fatalf("vector shapes: agg=%d per=%dx%d", len(agg), len(per), len(per[0]))
 	}
@@ -102,27 +104,33 @@ func TestDecideUsesModeSpecificModelAndThreshold(t *testing.T) {
 	}
 }
 
-// recordingPredictor keeps every window it scores, alternating its answer
-// so the deployment switches modes.
+// recordingPredictor keeps a copy of every window it scores, alternating
+// its answer so the deployment switches modes. It copies because the
+// deployment refills the vectors it passes for the next window.
 type recordingPredictor struct {
 	agg [][]float64
 	per [][][]float64
 }
 
 func (p *recordingPredictor) ScoreWindow(agg []float64, per [][]float64) float64 {
-	p.agg = append(p.agg, agg)
-	p.per = append(p.per, per)
+	p.agg = append(p.agg, slices.Clone(agg))
+	kept := make([][]float64, len(per))
+	for i, v := range per {
+		kept[i] = slices.Clone(v)
+	}
+	p.per = append(p.per, kept)
 	return float64(len(p.agg) % 2)
 }
 
-// scriptedSource serves pre-made intervals in order, whatever the mode.
+// scriptedSource serves pre-made intervals in order, whatever the mode,
+// with no plausibility verdict.
 type scriptedSource struct{ bases [][]float64 }
 
-func (s *scriptedSource) NextInterval(gidx int, _ uarch.Mode, _ float64) []float64 {
+func (s *scriptedSource) NextInterval(gidx int, _ uarch.Mode, _ float64) ([]float64, bool) {
 	if gidx >= len(s.bases) {
-		return nil
+		return nil, false
 	}
-	return s.bases[gidx]
+	return s.bases[gidx], false
 }
 
 // TestDeploySnapshotsMatchFullExpansion holds the deployment's projected

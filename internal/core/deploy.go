@@ -49,8 +49,14 @@ var (
 // reads them, and the source must leave them unchanged until the
 // deployment ends, so both sources hand out their stored vectors, shared
 // with every other deployment, without copying them.
+//
+// NextInterval also reports whether the vector passed
+// telemetry.ImplausibleVector when the source stored it, so that the
+// guardrail runs only the freeze comparison on an unfaulted interval. A
+// source that did not check returns false, and the guardrail checks the
+// vector in full.
 type IntervalSource interface {
-	NextInterval(gidx int, mode uarch.Mode, derate float64) []float64
+	NextInterval(gidx int, mode uarch.Mode, derate float64) (base []float64, plausible bool)
 }
 
 // DeployWithOptions runs the controller closed-loop over one trace on the
@@ -208,7 +214,8 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 		applied[i] = -1
 	}
 
-	var window [][]float64
+	window := make([][]float64, 0, k)
+	var vecs windowBuf
 	var prevTrue, prevObserved []float64
 	// ev is the current interval's true events, converted in place.
 	var ev uarch.Events
@@ -252,14 +259,15 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			if ti != nil {
 				derate = ti.MemDerate(gidx)
 			}
-			trueBase := src.NextInterval(gidx, mode, derate)
+			trueBase, plausible := src.NextInterval(gidx, mode, derate)
 			if trueBase == nil {
 				break
 			}
 			observed := trueBase
 			if ti != nil {
-				o, _, dropped := ti.Telemetry(gidx, trueBase, prevTrue)
-				observed = o
+				o, faulted, dropped := ti.Telemetry(gidx, trueBase, prevTrue)
+				// The source's verdict is on its own vector only.
+				observed, plausible = o, plausible && !faulted
 				if dropped {
 					windowDropped = true
 					if state != nil {
@@ -277,7 +285,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 				lowIntervals++
 			}
 			if state != nil {
-				state.observeInterval(observed, prevObserved, gated)
+				state.observeInterval(observed, prevObserved, plausible, gated)
 				state.tick()
 			}
 			if flight != nil {
@@ -332,7 +340,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
-			agg, per := windowVectors(proj, window, rng)
+			agg, per := vecs.fill(proj, window, rng)
 			snapshots += 1 + len(per)
 			pred := g.decide(mode, agg, per)
 			if ti != nil {

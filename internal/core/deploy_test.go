@@ -96,16 +96,17 @@ type runnerSource struct {
 	steps []step
 }
 
-// NextInterval executes the next interval in mode under derate.
-func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
+// NextInterval executes the next interval in mode under derate; it
+// leaves the plausibility check to the guardrail.
+func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]float64, bool) {
 	s.r.SetMode(mode)
 	s.r.SetMemDerate(derate)
 	delta, n := s.r.Next()
 	if n == 0 {
-		return nil
+		return nil, false
 	}
 	s.steps = append(s.steps, step{mode, derate})
-	return telemetry.ExtractBase(delta)
+	return telemetry.ExtractBase(delta), false
 }
 
 // liveDeploy deploys through the same decision loop over a live runner,
@@ -254,13 +255,13 @@ type keptSource struct {
 	out, kept *[][]float64
 }
 
-func (s *keptSource) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
-	v := s.inner.NextInterval(gidx, mode, derate)
+func (s *keptSource) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
+	v, plausible := s.inner.NextInterval(gidx, mode, derate)
 	if v != nil {
 		*s.out = append(*s.out, v)
 		*s.kept = append(*s.kept, slices.Clone(v))
 	}
-	return v
+	return v, plausible
 }
 
 // TestDeployLeavesSourceVectorsUnchanged holds DeployFrom to the
@@ -312,11 +313,173 @@ func TestDeployLeavesSourceVectorsUnchanged(t *testing.T) {
 		t.Fatalf("%d injected faults, %d guardrail trips, %d events: the deployments must exercise all three",
 			injected, trips, log.Len())
 	}
+
+	// The injector hands out vectors it does not copy either: every drop
+	// reads its view's one zero vector, and a freeze re-reads a source
+	// vector. A controller over the 40 base signals sees each observed
+	// vector verbatim (per cycle), so it must see what the trace's fault
+	// view gives when replayed over copies of the handed-out vectors: zeros
+	// at every drop, however many drops came before, and the latched copy
+	// at every freeze.
+	baseCols, err := ColumnsByName(s.ctrls[0].Counters, telemetry.BaseNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drops, freezes := 0, 0
+	for i, tr := range s.traces {
+		p := &recordingPredictor{}
+		g := *s.ctrls[0]
+		g.Name, g.HighPerf, g.LowPower, g.Columns = "base-signals", p, p, baseCols
+		from := len(out)
+		trie := deployTape(tr, s.cfg).trie(g.Interval, s.tel[i].Intervals()).source()
+		_, err := DeployFrom(&g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
+			return &keptSource{inner: trie, out: &out, kept: &kept}
+		})
+		trie.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj := g.Counters.Project(baseCols)
+		ti := inj.ForTrace(tr.Seed)
+		copies := map[*float64]bool{}
+		for _, v := range kept[from:] {
+			copies[&v[0]] = true
+		}
+		var prev []float64
+		for j, v := range kept[from:] {
+			o, faulted, dropped := ti.Telemetry(j, v, prev)
+			prev = v
+			if j >= len(p.per) {
+				break // the last two windows decide nothing
+			}
+			if want := proj.Snapshot(o, true, nil); !bitsEqual(p.per[j][0], want) {
+				t.Fatalf("%s interval %d (faulted %v, dropped %v): observed %v, want %v", tr.Name, j, faulted, dropped, p.per[j][0], want)
+			}
+			if dropped {
+				drops++
+			} else if faulted && copies[&o[0]] {
+				freezes++
+			}
+		}
+	}
+	if drops < 2 || freezes == 0 {
+		t.Fatalf("%d dropped and %d frozen intervals observed: the plan must exercise both, drops repeatedly", drops, freezes)
+	}
 	for j, v := range out {
 		for c := range v {
 			if math.Float64bits(v[c]) != math.Float64bits(kept[j][c]) {
 				t.Fatalf("interval vector %d, signal %d: handed out as %v, now %v", j, c, kept[j][c], v[c])
 			}
 		}
+	}
+}
+
+// unknownVerdicts hands out its inner source's vectors without their
+// plausibility verdicts, so the guardrail checks every interval in full.
+type unknownVerdicts struct{ inner IntervalSource }
+
+func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
+	v, _ := s.inner.NextInterval(gidx, mode, derate)
+	return v, false
+}
+
+// implausibleTrips counts the guardrail trips on implausible telemetry in
+// an event log.
+func implausibleTrips(log *obs.EventLog) int {
+	n := 0
+	for _, e := range log.Events() {
+		if e.Kind == "guardrail.trip" && e.Attrs["reason"] == "implausible-telemetry" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStoredVerdictsMatchFullCheck holds the trie's stored plausibility
+// verdicts to the guardrail's full check: exact deployments that read the
+// verdicts must be DeepEqual to the same deployments whose source reports
+// every verdict as unknown, under plans that drop, freeze and glitch
+// telemetry and derate DRAM, with the guardrail on, and the guardrail must
+// trip on implausible telemetry. Every node the deployments grew must
+// carry the verdict the full check gives its vector.
+func TestStoredVerdictsMatchFullCheck(t *testing.T) {
+	s := newDeploySuite(t, 19)
+	var injs []*fault.Injector
+	for p, rules := range [][]fault.Rule{
+		{{Class: fault.TelemetryDrop, Rate: 0.1, Burst: 3}},
+		{{Class: fault.CounterFreeze, Rate: 0.1, Burst: 3}},
+		{{Class: fault.CounterGlitch, Rate: 0.1, Burst: 3}},
+		{{Class: fault.DRAMDerate, Rate: 0.2, Burst: 3, Factor: 4}},
+		{
+			{Class: fault.TelemetryDrop, Rate: 0.05, Burst: 2},
+			{Class: fault.CounterFreeze, Rate: 0.05, Burst: 2},
+			{Class: fault.CounterGlitch, Rate: 0.05, Burst: 2},
+			{Class: fault.DRAMDerate, Rate: 0.2, Burst: 3, Factor: 2},
+		},
+	} {
+		inj, err := fault.NewInjector(fault.Plan{Seed: int64(41 + p), Rules: rules})
+		if err != nil {
+			t.Fatal(err)
+		}
+		injs = append(injs, inj)
+	}
+	log := obs.NewEventLog()
+	obs.SetEventLog(log)
+	defer obs.SetEventLog(nil)
+	gr := DefaultGuardrail()
+	for _, inj := range injs {
+		opts := DeployOptions{Guardrail: &gr, Injector: inj}
+		for _, g := range s.ctrls {
+			k := g.Granularity / g.Interval
+			for i, tr := range s.traces {
+				got, err := DeployWithOptions(g, tr, s.tel[i], s.cfg, s.pm, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := deployTape(tr, s.cfg).trie(g.Interval, s.tel[i].Intervals()/k*k).source()
+				want, err := DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource { return unknownVerdicts{src} })
+				src.close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s on %s: stored verdicts give %+v, the full check %+v", g.Name, tr.Name, got, want)
+				}
+			}
+		}
+	}
+	if implausibleTrips(log) == 0 {
+		t.Error("no guardrail trip on implausible telemetry: the plans must exercise the check")
+	}
+	checkTrieVerdicts(t, s)
+}
+
+// checkTrieVerdicts walks every node of the suite's deployment tries and
+// requires its stored verdict to equal the full check of its vector.
+func checkTrieVerdicts(t *testing.T, s *deploySuite) {
+	t.Helper()
+	nodes := 0
+	var walk func(n *trieNode)
+	walk = func(n *trieNode) {
+		for _, kid := range n.kids {
+			nodes++
+			if want := telemetry.ImplausibleBase(kid.base, nil) == ""; kid.plausible != want {
+				t.Fatalf("a trie node stores verdict %v, the full check gives %v", kid.plausible, want)
+			}
+			walk(kid)
+		}
+	}
+	for _, tr := range s.traces {
+		rec := deployTape(tr, s.cfg)
+		rec.mu.Lock()
+		for _, trie := range rec.tries {
+			trie.mu.RLock()
+			walk(&trie.root)
+			trie.mu.RUnlock()
+		}
+		rec.mu.Unlock()
+	}
+	if nodes == 0 {
+		t.Fatal("the deployments stored no trie nodes")
 	}
 }

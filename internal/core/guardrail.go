@@ -160,9 +160,16 @@ func (s *guardrailState) observe(base []float64) {
 // observeInterval is the per-interval watchdog: it first screens the
 // observed telemetry for plausibility (in any mode — a model fed garbage
 // must not be allowed to gate), then, while gated, applies the saturation
-// misprediction proxy to it.
-func (s *guardrailState) observeInterval(observed, prevObserved []float64, gated bool) {
-	if reason := telemetry.ImplausibleBase(observed, prevObserved); reason != "" {
+// misprediction proxy to it. plausible reports that observed is known to
+// pass telemetry.ImplausibleVector, so only the freeze comparison runs.
+func (s *guardrailState) observeInterval(observed, prevObserved []float64, plausible, gated bool) {
+	var implausible bool
+	if plausible {
+		implausible = telemetry.Frozen(observed, prevObserved)
+	} else {
+		implausible = telemetry.ImplausibleBase(observed, prevObserved) != ""
+	}
+	if implausible {
 		s.implausible++
 		s.degraded = 0
 		if s.implausible >= s.cfg.TripIntervals {

@@ -85,7 +85,7 @@ func TestGuardrailTripsWithinSLAWindow(t *testing.T) {
 	for i := 0; i < slaIntervals; i++ {
 		b := degradedBase()
 		b[0] += float64(i) // keep consecutive vectors distinct (not frozen)
-		s.observeInterval(b, prev, true)
+		s.observeInterval(b, prev, false, true)
 		prev = b
 		if s.backoff > 0 {
 			tripped = i + 1
@@ -106,19 +106,19 @@ func TestGuardrailTripsWithinSLAWindow(t *testing.T) {
 func TestGuardrailTripsOnImplausibleTelemetry(t *testing.T) {
 	s := guardrailState{cfg: DefaultGuardrail()}
 	frozen := healthyBase()
-	s.observeInterval(frozen, nil, false) // first read: nothing to compare
-	s.observeInterval(frozen, frozen, false)
-	s.observeInterval(frozen, frozen, false)
+	s.observeInterval(frozen, nil, false, false) // first read: nothing to compare
+	s.observeInterval(frozen, frozen, false, false)
+	s.observeInterval(frozen, frozen, false, false)
 	if s.trips != 1 {
 		t.Fatalf("trips = %d after sustained frozen telemetry, want 1", s.trips)
 	}
 
 	s2 := guardrailState{cfg: DefaultGuardrail()}
-	s2.observeInterval(frozen, frozen, false)
+	s2.observeInterval(frozen, frozen, false, false)
 	healthy := healthyBase()
 	healthy[0]++
-	s2.observeInterval(healthy, frozen, false)
-	s2.observeInterval(frozen, healthy, false)
+	s2.observeInterval(healthy, frozen, false, false)
+	s2.observeInterval(frozen, healthy, false, false)
 	if s2.trips != 0 {
 		t.Fatalf("non-consecutive implausibility tripped the guardrail (%d trips)", s2.trips)
 	}

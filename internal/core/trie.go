@@ -72,14 +72,16 @@ type trieHeld struct {
 	_ int64
 }
 
-// trieNode is one simulated interval: the step it ran under and its
-// base-signal vector, plus a checkpoint at every checkpointEvery-th depth.
+// trieNode is one simulated interval: the step it ran under, its
+// base-signal vector and whether that passed telemetry.ImplausibleVector,
+// plus a checkpoint at every checkpointEvery-th depth.
 type trieNode struct {
-	mode   uarch.Mode
-	derate float64
-	base   []float64
-	cp     *uarch.Checkpoint
-	kids   []*trieNode
+	mode      uarch.Mode
+	derate    float64
+	base      []float64
+	plausible bool
+	cp        *uarch.Checkpoint
+	kids      []*trieNode
 }
 
 // child returns the node for the step after n, or nil. derate is compared
@@ -125,17 +127,18 @@ type trieSource struct {
 
 // NextInterval returns the interval after the current node under the step
 // (mode, derate): the stored vector on a hit, otherwise the one just
-// simulated and stored. The deployment shares it and only reads it.
-func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []float64 {
+// simulated and stored, with the plausibility verdict taken when the node
+// was stored. The deployment shares the vector and only reads it.
+func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]float64, bool) {
 	if s.r == nil {
 		kid, dry := s.lookup(mode, derate)
 		if dry {
-			return nil
+			return nil, false
 		}
 		if kid != nil {
 			trieHits.Inc()
 			s.advance(kid)
-			return kid.base
+			return kid.base, kid.plausible
 		}
 		s.resume()
 	}
@@ -144,9 +147,10 @@ func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []floa
 	delta, n := s.r.Next()
 	if n == 0 {
 		s.t.end = s.depth
-		return nil
+		return nil, false
 	}
-	kid := &trieNode{mode: mode, derate: derate, base: telemetry.ExtractBase(delta)}
+	base := telemetry.ExtractBase(delta)
+	kid := &trieNode{mode: mode, derate: derate, base: base, plausible: telemetry.ImplausibleVector(base) == ""}
 	size := int(unsafe.Sizeof(*kid)) + 8*len(kid.base)
 	if (s.depth+1)%checkpointEvery == 0 {
 		kid.cp = s.r.Checkpoint()
@@ -157,7 +161,7 @@ func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) []floa
 	trieBytes.Add(int64(size))
 	trieNodes.Inc()
 	s.advance(kid)
-	return kid.base
+	return kid.base, kid.plausible
 }
 
 // lookup finds the current node's child for the step and whether the

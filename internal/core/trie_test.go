@@ -229,6 +229,7 @@ func TestTrieDeployMatchesLive(t *testing.T) {
 	if got.hits == 0 || got.catchup == 0 {
 		t.Errorf("%d hits and %d catch-up intervals: the cases must exercise both", got.hits, got.catchup)
 	}
+	checkTrieVerdicts(t, s)
 }
 
 // TestTrieConcurrentDeployments deploys the same traces concurrently,
@@ -280,7 +281,7 @@ func TestTrieHitAllocatesNothing(t *testing.T) {
 	walk := func() {
 		src.n, src.depth, src.cp, src.since = &src.t.root, 0, nil, src.since[:0]
 		for _, st := range sched {
-			if src.NextInterval(0, st.mode, st.derate) == nil {
+			if v, _ := src.NextInterval(0, st.mode, st.derate); v == nil {
 				t.Fatal("the trie ran dry inside a stored schedule")
 			}
 		}

@@ -27,6 +27,7 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -229,28 +230,59 @@ func (inj *Injector) Plan() Plan {
 // loop. The schedule depends only on (plan seed, trace seed), never on
 // when or where the trace is executed. A nil Injector yields a nil
 // TraceInjector, which injects nothing.
+//
+// The view compiles the telemetry, DRAM-derate and prediction rules into
+// one schedule list per query, each rule's class, rate, burst and factor
+// resolved once; a rule that can never fire (Rate <= 0) is left out.
 func (inj *Injector) ForTrace(traceSeed int64) *TraceInjector {
 	if inj == nil {
 		return nil
 	}
-	ti := &TraceInjector{
-		rules: inj.plan.Rules,
-		seed:  inj.plan.Seed ^ traceSeed ^ 0x666c74, // "flt"
-	}
-	// TraceOutage membership: whether this trace is inside a rule's outage
-	// is a pure function of (plan seed, rule index, trace seed), while the
-	// blanked window itself is shared by every member — that is what makes
-	// the fault correlated across the corpus.
-	for ri, r := range inj.plan.Rules {
-		if r.Class != TraceOutage {
-			continue
-		}
-		if Hash01(inj.plan.Seed^0x6f7574 /* "out" */, ri, int(traceSeed)) < r.Rate {
-			burst := r.Burst
-			if burst < 1 {
-				burst = 1
+	seed := inj.plan.Seed ^ traceSeed ^ 0x666c74 // "flt"
+	ti := &TraceInjector{seed: seed}
+	var nTel, nMem, nPred int
+	for _, r := range inj.plan.Rules {
+		if r.Rate > 0 {
+			switch r.Class {
+			case TelemetryDrop, CounterFreeze, CounterGlitch:
+				nTel++
+			case DRAMDerate:
+				nMem++
+			case PredictionPin, PredictionStale:
+				nPred++
 			}
-			ti.outages = append(ti.outages, [2]int{r.Start, r.Start + burst})
+		}
+	}
+	all := make([]schedule, 0, nTel+nMem+nPred)
+	ti.telemetry, ti.derates, ti.predictions = all[:0:nTel], all[nTel:nTel:nTel+nMem], all[nTel+nMem:nTel+nMem]
+	for ri, r := range inj.plan.Rules {
+		sc := schedule{ri: ri, class: r.Class, rate: r.Rate, burst: max(r.Burst, 1), factor: r.Factor, pin: r.Pin}
+		switch {
+		case r.Class == TraceOutage:
+			// TraceOutage membership: whether this trace is inside a rule's
+			// outage is a pure function of (plan seed, rule index, trace
+			// seed), while the blanked window itself is shared by every
+			// member — that is what makes the fault correlated across the
+			// corpus.
+			if Hash01(inj.plan.Seed^0x6f7574 /* "out" */, ri, int(traceSeed)) < r.Rate {
+				ti.outages = append(ti.outages, [2]int{r.Start, endOf(r.Start, sc.burst)})
+			}
+		case r.Rate <= 0:
+		case r.Class == TelemetryDrop, r.Class == CounterFreeze, r.Class == CounterGlitch:
+			sc.seed = seed
+			if r.Class == CounterGlitch && sc.factor == 0 {
+				sc.factor = 1000
+			}
+			ti.telemetry = append(ti.telemetry, sc)
+		case r.Class == DRAMDerate:
+			sc.seed = seed ^ 0x6d656d // "mem"
+			if sc.factor == 0 {
+				sc.factor = 4
+			}
+			ti.derates = append(ti.derates, sc)
+		case r.Class == PredictionPin, r.Class == PredictionStale:
+			sc.seed = seed ^ 0x7072 // "pr"
+			ti.predictions = append(ti.predictions, sc)
 		}
 	}
 	return ti
@@ -268,7 +300,7 @@ func (inj *Injector) FailTask(task, attempt int) error {
 		if r.Class != TaskFail {
 			continue
 		}
-		if activeAt(inj.plan.Seed^0x7461736b /* "task" */, ri, task, r) {
+		if activeAt(inj.plan.Seed^0x7461736b /* "task" */, ri, task, r.Rate, r.Burst) {
 			injected.Inc()
 			return fmt.Errorf("fault: injected transient failure in task %d", task)
 		}
@@ -280,16 +312,80 @@ func (inj *Injector) FailTask(task, attempt int) error {
 // nil-safe and must be called from a single goroutine (the trace's
 // deployment loop), matching how internal/core uses it.
 type TraceInjector struct {
-	rules    []Rule
-	seed     int64
-	injected atomic.Int64
-	// lastGood latches the most recent unfaulted telemetry vector: stuck
+	seed int64
+	// telemetry, derates and predictions are the plan's rules of each
+	// query's classes, in plan order, each with its own cursor.
+	telemetry, derates, predictions []schedule
+	injected                        atomic.Int64
+	// lastGood is the most recent unfaulted telemetry vector itself: stuck
 	// counters (CounterFreeze) re-read it verbatim for the whole burst,
 	// like real silicon holding its last good sample.
 	lastGood []float64
+	// zero is the all-zero vector every dropped interval reads.
+	zero []float64
 	// outages are the [start, end) interval windows of the TraceOutage
 	// rules this trace is a member of, resolved once at ForTrace time.
 	outages [][2]int
+}
+
+// schedule is one rule compiled for a trace view: the parameters its
+// queries read, and a cursor over its burst starts. A burst of burst
+// indices starts at any index s with Hash01(seed, ri, s) < rate.
+type schedule struct {
+	ri     int   // the rule's plan index, the schedule hash's key
+	seed   int64 // the trace seed salted for the rule's query
+	class  Class
+	rate   float64
+	burst  int     // at least 1
+	factor float64 // the glitch scale or derate multiplier, defaults resolved
+	pin    int
+	// next is the first start index not yet hashed, and end is one past
+	// the last index the bursts starting before next cover, saturated at
+	// math.MaxInt.
+	next, end int
+}
+
+// active reports whether the rule covers index idx, as activeAt does. A
+// query at or after the cursor hashes only the starts it has not seen
+// that can still reach idx, so a deployment walking forward hashes each
+// start once; an earlier query, or one at math.MaxInt, past which the
+// cursor cannot move, falls back to activeAt. Both read the same hashes,
+// so the answer does not depend on query order.
+func (s *schedule) active(idx int) bool {
+	if idx < s.next || idx == math.MaxInt {
+		return activeAt(s.seed, s.ri, idx, s.rate, s.burst)
+	}
+	for st := max(s.next, idx-s.burst+1); st <= idx; st++ {
+		if Hash01(s.seed, s.ri, st) < s.rate {
+			s.end = endOf(st, s.burst)
+		}
+	}
+	s.next = idx + 1
+	return idx < s.end
+}
+
+// endOf returns the end of a burst of burst ≥ 1 indices starting at
+// start ≥ 0, saturated at math.MaxInt: ParsePlan accepts bursts up to
+// math.MaxInt, at which start+burst would wrap.
+func endOf(start, burst int) int {
+	if start > math.MaxInt-burst {
+		return math.MaxInt
+	}
+	return start + burst
+}
+
+// count records one injected fault event.
+func (ti *TraceInjector) count() {
+	ti.injected.Add(1)
+	injected.Inc()
+}
+
+// zeros returns the view's all-zero vector of n signals.
+func (ti *TraceInjector) zeros(n int) []float64 {
+	if len(ti.zero) != n {
+		ti.zero = make([]float64, n)
+	}
+	return ti.zero
 }
 
 // Injected returns how many fault events this trace view has injected so
@@ -313,6 +409,12 @@ func (ti *TraceInjector) Injected() int64 {
 // order): CounterFreeze latches the last unfaulted vector and re-reads it
 // verbatim for the whole burst, so the schedule is deterministic but the
 // frozen *value* depends on where the burst started.
+//
+// The view keeps base itself as that latch, not a copy, so base and prev
+// must stay unchanged until the deployment ends, as core.IntervalSource
+// vectors do. The returned vector is read-only: it is base, prev, the
+// latched vector or the view's shared zero vector, except for a glitch,
+// which builds its own.
 func (ti *TraceInjector) Telemetry(idx int, base, prev []float64) (out []float64, faulted, dropped bool) {
 	if ti == nil {
 		return base, false, false
@@ -321,57 +423,42 @@ func (ti *TraceInjector) Telemetry(idx int, base, prev []float64) (out []float64
 	// snapshot never leaves the dark rack, so it reads as dropped.
 	for _, o := range ti.outages {
 		if idx >= o[0] && idx < o[1] {
-			ti.injected.Add(1)
-			injected.Inc()
-			return make([]float64, len(base)), true, true
+			ti.count()
+			return ti.zeros(len(base)), true, true
 		}
 	}
-	for ri, r := range ti.rules {
-		switch r.Class {
-		case TelemetryDrop, CounterFreeze, CounterGlitch:
-		default:
+	for i := range ti.telemetry {
+		s := &ti.telemetry[i]
+		if !s.active(idx) {
 			continue
 		}
-		if !activeAt(ti.seed, ri, idx, r) {
-			continue
-		}
-		ti.injected.Add(1)
-		injected.Inc()
-		switch r.Class {
+		ti.count()
+		switch s.class {
 		case TelemetryDrop:
-			return make([]float64, len(base)), true, true
+			return ti.zeros(len(base)), true, true
 		case CounterFreeze:
 			held := ti.lastGood
 			if held == nil {
 				held = prev
 			}
 			if held == nil {
-				return make([]float64, len(base)), true, false
+				return ti.zeros(len(base)), true, false
 			}
-			frozen := make([]float64, len(held))
-			copy(frozen, held)
-			return frozen, true, false
-		case CounterGlitch:
-			factor := r.Factor
-			if factor == 0 {
-				factor = 1000
-			}
+			return held, true, false
+		default: // CounterGlitch
 			glitched := make([]float64, len(base))
-			for i, v := range base {
+			for j, v := range base {
 				// A seed-chosen half of the signals overscale, producing
 				// physically inconsistent readings.
-				if Hash01(ti.seed^0x676c /* "gl" */, ri, idx*1031+i) < 0.5 {
-					v *= factor
+				if Hash01(ti.seed^0x676c /* "gl" */, s.ri, idx*1031+j) < 0.5 {
+					v *= s.factor
 				}
-				glitched[i] = v
+				glitched[j] = v
 			}
 			return glitched, true, false
 		}
 	}
-	if ti.lastGood == nil {
-		ti.lastGood = make([]float64, len(base))
-	}
-	copy(ti.lastGood, base)
+	ti.lastGood = base
 	return base, false, false
 }
 
@@ -382,19 +469,14 @@ func (ti *TraceInjector) Prediction(w, pred, prev int) (out int, faulted bool) {
 	if ti == nil {
 		return pred, false
 	}
-	for ri, r := range ti.rules {
-		switch r.Class {
-		case PredictionPin, PredictionStale:
-		default:
+	for i := range ti.predictions {
+		s := &ti.predictions[i]
+		if !s.active(w) {
 			continue
 		}
-		if !activeAt(ti.seed^0x7072 /* "pr" */, ri, w, r) {
-			continue
-		}
-		ti.injected.Add(1)
-		injected.Inc()
-		if r.Class == PredictionPin {
-			return r.Pin, true
+		ti.count()
+		if s.class == PredictionPin {
+			return s.pin, true
 		}
 		return prev, true
 	}
@@ -411,21 +493,14 @@ func (ti *TraceInjector) MemDerate(idx int) float64 {
 		return 1
 	}
 	out := 1.0
-	for ri, r := range ti.rules {
-		if r.Class != DRAMDerate {
+	for i := range ti.derates {
+		s := &ti.derates[i]
+		if !s.active(idx) {
 			continue
 		}
-		if !activeAt(ti.seed^0x6d656d /* "mem" */, ri, idx, r) {
-			continue
-		}
-		ti.injected.Add(1)
-		injected.Inc()
-		f := r.Factor
-		if f == 0 {
-			f = 4
-		}
-		if f > out {
-			out = f
+		ti.count()
+		if s.factor > out {
+			out = s.factor
 		}
 	}
 	return out
@@ -458,19 +533,17 @@ func FlipBits(data []byte, seed int64, n int) []int {
 	return out
 }
 
-// activeAt reports whether rule ri covers index idx: a burst of r.Burst
-// indices starts at any index s with Hash01(seed, ri, s) < r.Rate, so idx
-// is covered when any s in (idx-burst, idx] starts one.
-func activeAt(seed int64, ri, idx int, r Rule) bool {
-	if r.Rate <= 0 || idx < 0 {
+// activeAt reports whether rule ri, at rate and burst, covers index idx: a
+// burst of burst indices (zero selects 1) starts at any index s with
+// Hash01(seed, ri, s) < rate, so idx is covered when any s in
+// (idx-burst, idx] starts one.
+func activeAt(seed int64, ri, idx int, rate float64, burst int) bool {
+	if rate <= 0 || idx < 0 {
 		return false
 	}
-	burst := r.Burst
-	if burst < 1 {
-		burst = 1
-	}
+	burst = max(burst, 1)
 	for s := idx; s > idx-burst && s >= 0; s-- {
-		if Hash01(seed, ri, s) < r.Rate {
+		if Hash01(seed, ri, s) < rate {
 			return true
 		}
 	}

@@ -2,7 +2,9 @@ package fault
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -310,14 +312,212 @@ func TestNilInjectorIsTransparent(t *testing.T) {
 	}
 }
 
+// statelessView is the per-trace schedule the cursor replaced, kept as
+// the reference it is held to: every query hashes each rule's whole burst
+// window afresh (activeAt), in plan order, and a freeze re-reads a copy
+// of the last unfaulted vector.
+type statelessView struct {
+	rules    []Rule
+	seed     int64
+	outages  [][2]int
+	lastGood []float64
+	injected int64
+}
+
+func newStatelessView(inj *Injector, traceSeed int64) *statelessView {
+	return &statelessView{rules: inj.plan.Rules, seed: inj.plan.Seed ^ traceSeed ^ 0x666c74,
+		outages: inj.ForTrace(traceSeed).outages}
+}
+
+func (v *statelessView) Telemetry(idx int, base, prev []float64) (out []float64, faulted, dropped bool) {
+	for _, o := range v.outages {
+		if idx >= o[0] && idx < o[1] {
+			v.injected++
+			return make([]float64, len(base)), true, true
+		}
+	}
+	for ri, r := range v.rules {
+		switch r.Class {
+		case TelemetryDrop, CounterFreeze, CounterGlitch:
+		default:
+			continue
+		}
+		if !activeAt(v.seed, ri, idx, r.Rate, r.Burst) {
+			continue
+		}
+		v.injected++
+		switch r.Class {
+		case TelemetryDrop:
+			return make([]float64, len(base)), true, true
+		case CounterFreeze:
+			held := v.lastGood
+			if held == nil {
+				held = prev
+			}
+			if held == nil {
+				return make([]float64, len(base)), true, false
+			}
+			return append([]float64(nil), held...), true, false
+		case CounterGlitch:
+			factor := r.Factor
+			if factor == 0 {
+				factor = 1000
+			}
+			glitched := make([]float64, len(base))
+			for i, x := range base {
+				if Hash01(v.seed^0x676c, ri, idx*1031+i) < 0.5 {
+					x *= factor
+				}
+				glitched[i] = x
+			}
+			return glitched, true, false
+		}
+	}
+	v.lastGood = append(v.lastGood[:0], base...)
+	return base, false, false
+}
+
+func (v *statelessView) Prediction(w, pred, prev int) (int, bool) {
+	for ri, r := range v.rules {
+		if r.Class != PredictionPin && r.Class != PredictionStale {
+			continue
+		}
+		if !activeAt(v.seed^0x7072, ri, w, r.Rate, r.Burst) {
+			continue
+		}
+		v.injected++
+		if r.Class == PredictionPin {
+			return r.Pin, true
+		}
+		return prev, true
+	}
+	return pred, false
+}
+
+func (v *statelessView) MemDerate(idx int) float64 {
+	out := 1.0
+	for ri, r := range v.rules {
+		if r.Class != DRAMDerate || !activeAt(v.seed^0x6d656d, ri, idx, r.Rate, r.Burst) {
+			continue
+		}
+		v.injected++
+		f := r.Factor
+		if f == 0 {
+			f = 4
+		}
+		if f > out {
+			out = f
+		}
+	}
+	return out
+}
+
+// matchStateless queries the view and the stateless reference at index
+// idx as a deployment does — the derate, the telemetry of base after prev,
+// the prediction for window idx — and reports the first difference in a
+// derate, an observed signal's bits, a faulted or dropped flag, a
+// prediction or the injection count. It returns whether the telemetry was
+// faulted.
+func matchStateless(ti *TraceInjector, ref *statelessView, idx int, base, prev []float64, pred, prevPred int) (faulted bool, diff string) {
+	if got, want := ti.MemDerate(idx), ref.MemDerate(idx); math.Float64bits(got) != math.Float64bits(want) {
+		return false, fmt.Sprintf("derate %v, want %v", got, want)
+	}
+	out, f, d := ti.Telemetry(idx, base, prev)
+	wout, wf, wd := ref.Telemetry(idx, base, prev)
+	if f != wf || d != wd || len(out) != len(wout) {
+		return f, fmt.Sprintf("telemetry faulted/dropped/len %v/%v/%d, want %v/%v/%d", f, d, len(out), wf, wd, len(wout))
+	}
+	for i := range out {
+		if math.Float64bits(out[i]) != math.Float64bits(wout[i]) {
+			return f, fmt.Sprintf("observed signal %d = %v, want %v", i, out[i], wout[i])
+		}
+	}
+	p, pf := ti.Prediction(idx, pred, prevPred)
+	if wp, wpf := ref.Prediction(idx, pred, prevPred); p != wp || pf != wpf {
+		return f, fmt.Sprintf("prediction %d/%v, want %d/%v", p, pf, wp, wpf)
+	}
+	if ti.Injected() != ref.injected {
+		return f, fmt.Sprintf("%d injections, want %d", ti.Injected(), ref.injected)
+	}
+	return f, ""
+}
+
+// TestScheduleCursorMatchesStateless holds the per-trace view's schedule
+// cursors to the stateless reference over random plans of every
+// deployment-facing class, with rates from 0 to 1 and bursts from 1 to
+// math.MaxInt, under query sequences that step forward, skip ahead, repeat
+// an index and jump back. Every answer and the injection count must match
+// at every query.
+func TestScheduleCursorMatchesStateless(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	classes := []Class{TelemetryDrop, CounterFreeze, CounterGlitch, PredictionPin, PredictionStale, DRAMDerate, TraceOutage, TaskFail}
+	rates := []float64{0, 0.02, 0.1, 0.3, 0.7, 1}
+	bursts := []int{0, 1, 2, 3, 6, 17, math.MaxInt}
+	factors := []float64{0, 1, 2.5, 50}
+	var faulted, backward, backwardFaulted int
+	for p := 0; p < 300; p++ {
+		plan := Plan{Seed: rng.Int63() - rng.Int63()}
+		for r := 1 + rng.Intn(5); r > 0; r-- {
+			plan.Rules = append(plan.Rules, Rule{
+				Class: classes[rng.Intn(len(classes))], Rate: rates[rng.Intn(len(rates))],
+				Burst: bursts[rng.Intn(len(bursts))], Factor: factors[rng.Intn(len(factors))],
+				Pin: rng.Intn(2), Start: rng.Intn(40),
+			})
+		}
+		inj, err := NewInjector(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traceSeed := rng.Int63()
+		ti, ref := inj.ForTrace(traceSeed), newStatelessView(inj, traceSeed)
+		var prev []float64
+		idx, pred := 0, 0
+		for q := 0; q < 200; q++ {
+			back := false
+			switch d := rng.Intn(10); {
+			case d < 5:
+				idx++
+			case d < 7:
+				idx += 2 + rng.Intn(8)
+			case d < 8: // repeat
+			default:
+				idx, back = max(0, idx-1-rng.Intn(12)), true
+			}
+			base := []float64{float64(q + 1), float64(2*q + 1), -float64(q)}
+			f, diff := matchStateless(ti, ref, idx, base, prev, q%2, pred)
+			if diff != "" {
+				t.Fatalf("plan %d %+v, query %d (index %d): %s", p, plan, q, idx, diff)
+			}
+			pred = q % 2
+			prev = base
+			if f {
+				faulted++
+			}
+			if back {
+				backward++
+				if f {
+					backwardFaulted++
+				}
+			}
+		}
+	}
+	if faulted == 0 || backward == 0 || backwardFaulted == 0 {
+		t.Errorf("%d faulted queries, %d backward and %d faulted backward ones: the plans must exercise all three",
+			faulted, backward, backwardFaulted)
+	}
+}
+
 // FuzzParsePlan feeds arbitrary bytes to the plan parser. A plan it
 // accepts must compile, and the compiled plan's per-trace view must draw
 // DRAM derates, telemetry faults and prediction faults over a few
 // intervals of arbitrary telemetry, as a deployment does, without
 // panicking: derates stay at or above nominal, observed vectors keep the
-// true vector's length, and predictions stay 0 or 1. The committed seeds
-// (testdata/fuzz/FuzzParsePlan) are plans over every class, a derate-only
-// plan, an invalid plan and non-JSON bytes.
+// true vector's length, and predictions stay 0 or 1. A second view of the
+// plan, queried over the same intervals and then once backwards, must
+// answer bit for bit as the stateless reference does, injection count
+// included. The committed seeds (testdata/fuzz/FuzzParsePlan) are plans
+// over every class, a derate-only plan, drop and derate rules at the
+// largest burst, an invalid plan and non-JSON bytes.
 func FuzzParsePlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, traceSeed int64, raw []byte) {
 		p, err := ParsePlan(data)
@@ -336,13 +536,14 @@ func FuzzParsePlan(f *testing.F) {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		n := len(vals) / 4
+		baseAt := func(idx int) []float64 { return vals[idx%4*n : (idx%4+1)*n] }
 		var prev []float64
 		pred := 0
 		for idx := 0; idx < 12; idx++ {
 			if d := ti.MemDerate(idx); !(d >= 1) {
 				t.Fatalf("interval %d: derate %v below nominal", idx, d)
 			}
-			base := vals[idx%4*n : (idx%4+1)*n]
+			base := baseAt(idx)
 			if out, _, _ := ti.Telemetry(idx, base, prev); len(out) != len(base) {
 				t.Fatalf("interval %d: observed %d signals of %d", idx, len(out), len(base))
 			}
@@ -351,6 +552,17 @@ func FuzzParsePlan(f *testing.F) {
 				t.Fatalf("window %d: prediction %d", idx, pred)
 			}
 			_ = inj.FailTask(idx, 0)
+		}
+
+		cur, ref := inj.ForTrace(traceSeed), newStatelessView(inj, traceSeed)
+		prev, pred = nil, 0
+		back := int(uint64(traceSeed) % 12)
+		for q, idx := range append([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, back) {
+			base := baseAt(idx)
+			if _, diff := matchStateless(cur, ref, idx, base, prev, idx%2, pred); diff != "" {
+				t.Fatalf("query %d (interval %d): %s", q, idx, diff)
+			}
+			prev, pred = base, idx%2
 		}
 	})
 }

@@ -157,7 +157,7 @@ func (f *FleetInjector) Stalled(m, t int) bool {
 			vshards = 8
 		}
 		sseed := int64(HashU64(f.seed^saltStall, ri, m%vshards))
-		if activeAt(sseed, ri, t, r) {
+		if activeAt(sseed, ri, t, r.Rate, r.Burst) {
 			return true
 		}
 	}

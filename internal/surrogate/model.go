@@ -104,12 +104,13 @@ type traceModel struct {
 }
 
 // NextInterval returns the surrogate's estimate of the exact simulator's
-// interval delta (see estimate), as stored in the recording's table: the
-// deployment shares the vector and only reads it. The recordings hold
-// only full intervals, so it returns nil past their end.
-func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
+// interval delta (see estimate), as stored in the recording's table with
+// its plausibility verdict: the deployment shares the vector and only
+// reads it. An interval computed without a table carries no verdict. The
+// recordings hold only full intervals, so it returns nil past their end.
+func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
 	if gidx >= t.ref.Intervals() {
-		return nil
+		return nil, false
 	}
 	sinceSwitch := t.clock.next(mode)
 	if !t.checked {
@@ -119,9 +120,10 @@ func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) []f
 		}
 	}
 	if t.table == nil {
-		return t.estimate(gidx, mode, derate, sinceSwitch)
+		return t.estimate(gidx, mode, derate, sinceSwitch), false
 	}
-	return t.table.interval(t, gidx, mode, derate, sinceSwitch)
+	v := t.table.interval(t, gidx, mode, derate, sinceSwitch)
+	return v.base, v.plausible
 }
 
 // estimate computes interval gidx afresh: the recorded steady-state vector

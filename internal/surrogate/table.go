@@ -6,6 +6,7 @@ import (
 
 	"clustergate/internal/dataset"
 	"clustergate/internal/obs"
+	"clustergate/internal/telemetry"
 	"clustergate/internal/uarch"
 )
 
@@ -35,12 +36,12 @@ type residualKey struct {
 }
 
 // residualTable memoises the finished intervals every deployment of one
-// recording has needed: each key is spliced, scored by the backend and
-// cycle-bounded once per model, and every later lookup returns the stored
-// vector, which deployments share and only read. It is exact only because
-// the model and the recording are immutable once built: nothing may
-// retrain a Model's backend or edit a TraceTelemetry after its first
-// deployment.
+// recording has needed: each key is spliced, scored by the backend,
+// cycle-bounded and checked for plausibility once per model, and every
+// later lookup returns the stored vector, which deployments share and only
+// read, with its verdict. It is exact only because the model and the
+// recording are immutable once built: nothing may retrain a Model's
+// backend or edit a TraceTelemetry after its first deployment.
 type residualTable struct {
 	mu sync.Mutex
 	// core is the core the stored vectors were spliced for, set by the
@@ -48,7 +49,14 @@ type residualTable struct {
 	// another core computes its intervals directly.
 	core uarch.Config
 	tied bool
-	v    map[residualKey][]float64
+	v    map[residualKey]storedInterval
+}
+
+// storedInterval is one finished interval and whether it passed
+// telemetry.ImplausibleVector.
+type storedInterval struct {
+	base      []float64
+	plausible bool
 }
 
 // residuals returns ref's table, creating it on first use; nil for a model
@@ -64,7 +72,7 @@ func (m *Model) residuals(ref *dataset.TraceTelemetry) *residualTable {
 		if m.tables == nil {
 			m.tables = map[*dataset.TraceTelemetry]*residualTable{}
 		}
-		t = &residualTable{v: map[residualKey][]float64{}}
+		t = &residualTable{v: map[residualKey]storedInterval{}}
 		m.tables[ref] = t
 	}
 	return t
@@ -82,10 +90,11 @@ func (t *residualTable) serves(core *uarch.Config) bool {
 }
 
 // interval returns src's finished interval gidx, replayed in mode under
-// derate sinceSwitch intervals after the last mode switch: the stored
-// vector on a hit, which allocates nothing. A miss computes it under the
-// table's lock, so each key is evaluated exactly once.
-func (t *residualTable) interval(src *traceModel, gidx int, mode uarch.Mode, derate float64, sinceSwitch int) []float64 {
+// derate sinceSwitch intervals after the last mode switch, and its
+// plausibility verdict: the stored vector on a hit, which allocates
+// nothing. A miss computes both under the table's lock, so each key is
+// evaluated exactly once.
+func (t *residualTable) interval(src *traceModel, gidx int, mode uarch.Mode, derate float64, sinceSwitch int) storedInterval {
 	k := residualKey{interval: int32(gidx), lowPower: mode == uarch.ModeLowPower,
 		since: uint8(min(sinceSwitch, sinceSwitchCap)), derate: math.Float64bits(derate)}
 	t.mu.Lock()
@@ -94,7 +103,8 @@ func (t *residualTable) interval(src *traceModel, gidx int, mode uarch.Mode, der
 		residualHits.Inc()
 		return v
 	}
-	v := src.estimate(gidx, mode, derate, sinceSwitch)
+	base := src.estimate(gidx, mode, derate, sinceSwitch)
+	v := storedInterval{base: base, plausible: telemetry.ImplausibleVector(base) == ""}
 	t.v[k] = v
 	residualEvals.Inc()
 	return v

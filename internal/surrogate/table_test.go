@@ -12,8 +12,10 @@ import (
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/forest"
 	"clustergate/internal/ml/linear"
+	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
 	"clustergate/internal/power"
+	"clustergate/internal/telemetry"
 	"clustergate/internal/uarch"
 )
 
@@ -127,8 +129,8 @@ type keyRecorder struct {
 	lookups int
 }
 
-func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) []float64 {
-	v := k.src.NextInterval(gidx, mode, derate)
+func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
+	v, plausible := k.src.NextInterval(gidx, mode, derate)
 	if v != nil {
 		since := k.clock.next(mode)
 		if since > sinceSwitchCap {
@@ -141,7 +143,7 @@ func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) []
 		k.keys[[5]uint64{uint64(k.trace), uint64(gidx), low, uint64(since), math.Float64bits(derate)}] = true
 		k.lookups++
 	}
-	return v
+	return v, plausible
 }
 
 // TestResidualTableMatchesDirect is the residual table's differential
@@ -192,6 +194,7 @@ func TestResidualTableMatchesDirect(t *testing.T) {
 				}
 			}
 			counts = append(counts, [2]int64{residualEvals.Value() - evals, residualHits.Value() - hits})
+			checkTableVerdicts(t, m)
 		}
 		if counts[0] != counts[1] {
 			t.Errorf("%s backend: (evals, hits) %v at 1 worker, %v at 4", fresh.Backend, counts[0], counts[1])
@@ -230,7 +233,8 @@ func TestResidualTableRandomSchedules(t *testing.T) {
 					}
 					run--
 					derate := derates[rng.Intn(len(derates))]
-					got, want := table.NextInterval(gidx, mode, derate), direct.NextInterval(gidx, mode, derate)
+					got, _ := table.NextInterval(gidx, mode, derate)
+					want, _ := direct.NextInterval(gidx, mode, derate)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s backend, schedule %d, trace %d, interval %d (mode %d, derate %v): table %v, direct %v",
 							m.Backend, s, i, gidx, mode, derate, got, want)
@@ -259,10 +263,10 @@ func TestResidualTableHitAllocatesNothing(t *testing.T) {
 	// From the cap on, the since-switch count no longer changes the key.
 	var want []float64
 	for i := 0; i <= sinceSwitchCap; i++ {
-		want = src.NextInterval(2, uarch.ModeLowPower, 4)
+		want, _ = src.NextInterval(2, uarch.ModeLowPower, 4)
 	}
 	var got []float64
-	if a := testing.AllocsPerRun(100, func() { got = src.NextInterval(2, uarch.ModeLowPower, 4) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { got, _ = src.NextInterval(2, uarch.ModeLowPower, 4) }); a != 0 {
 		t.Errorf("a table hit allocates %.1f times", a)
 	}
 	if &got[0] != &want[0] {
@@ -307,5 +311,127 @@ func TestResidualTableTiedToCore(t *testing.T) {
 		if moved != (run == cfg) {
 			t.Errorf("replay %d: table counters moved %v, want %v", k, moved, run == cfg)
 		}
+	}
+}
+
+// checkTableVerdicts requires every interval m's residual tables store to
+// carry the verdict the full plausibility check gives its vector.
+func checkTableVerdicts(t *testing.T, m *Model) {
+	t.Helper()
+	stored := 0
+	m.tablesMu.Lock()
+	defer m.tablesMu.Unlock()
+	for _, tab := range m.tables {
+		tab.mu.Lock()
+		for k, v := range tab.v {
+			stored++
+			if want := telemetry.ImplausibleBase(v.base, nil) == ""; v.plausible != want {
+				t.Errorf("%s backend, key %+v: stored verdict %v, the full check gives %v", m.Backend, k, v.plausible, want)
+			}
+		}
+		tab.mu.Unlock()
+	}
+	if stored == 0 {
+		t.Errorf("%s backend: the tables store no intervals", m.Backend)
+	}
+}
+
+// unknownVerdicts hands out its inner source's vectors without their
+// plausibility verdicts, so the guardrail checks every interval in full.
+type unknownVerdicts struct{ inner core.IntervalSource }
+
+func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
+	v, _ := s.inner.NextInterval(gidx, mode, derate)
+	return v, false
+}
+
+// TestStoredVerdictsMatchFullCheck holds the residual tables' stored
+// plausibility verdicts to the guardrail's full check: for both backends,
+// replays that read the verdicts must be DeepEqual to the same deployments
+// over the same tables whose source reports every verdict as unknown,
+// under plans that drop, freeze and glitch telemetry and derate DRAM, with
+// the guardrail on, and the guardrail must trip on implausible telemetry.
+func TestStoredVerdictsMatchFullCheck(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	pm := power.DefaultModel()
+	gr := core.DefaultGuardrail()
+	var plans []core.DeployOptions
+	for p, rules := range [][]fault.Rule{
+		{{Class: fault.TelemetryDrop, Rate: 0.1, Burst: 3}},
+		{{Class: fault.CounterFreeze, Rate: 0.1, Burst: 3}},
+		{{Class: fault.CounterGlitch, Rate: 0.1, Burst: 3}},
+		{{Class: fault.DRAMDerate, Rate: 0.2, Burst: 3, Factor: 4}},
+	} {
+		inj, err := fault.NewInjector(fault.Plan{Seed: int64(51 + p), Rules: rules})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, core.DeployOptions{Guardrail: &gr, Injector: inj})
+	}
+	log := obs.NewEventLog()
+	obs.SetEventLog(log)
+	defer obs.SetEventLog(nil)
+	for _, m := range testBackends(t) {
+		for s := uint64(1); s <= 2; s++ {
+			g := testController(t, cfg, hashScorer{seed: s})
+			for _, opts := range plans {
+				for i, tr := range c.Traces {
+					got, err := m.Replay(g, tr, tel[i], cfg, pm, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src := &traceModel{m: m, ref: tel[i], core: cfg.Core, clock: newSwitchClock(), table: m.residuals(tel[i])}
+					want, err := core.DeployFrom(g, tr, tel[i], pm, opts, func() core.IntervalSource { return unknownVerdicts{src} })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s backend on %s: stored verdicts give %+v, the full check %+v", m.Backend, tr.Name, got, want)
+					}
+				}
+			}
+		}
+		checkTableVerdicts(t, m)
+	}
+	n := 0
+	for _, e := range log.Events() {
+		if e.Kind == "guardrail.trip" && e.Attrs["reason"] == "implausible-telemetry" {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Error("no guardrail trip on implausible telemetry: the plans must exercise the check")
+	}
+}
+
+// TestDeployAllocatesPerDeployment: with no fault plan and every interval
+// a table hit, a surrogate deployment allocates as often on a recording of
+// n windows as on one of 2n. The decision loop fills the same window
+// vectors for every window, so what it allocates is per deployment.
+func TestDeployAllocatesPerDeployment(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	m := testBackends(t)[0]
+	g := testController(t, cfg, waveScorer{})
+	pm := power.DefaultModel()
+	k := g.Granularity / g.Interval
+	full := tel[0]
+	n := full.Intervals() / k / 2
+	if n < 3 {
+		t.Fatalf("recording of %d intervals: too short for two lengths that both decide", full.Intervals())
+	}
+	allocs := func(windows int) float64 {
+		ref := &dataset.TraceTelemetry{App: full.App, Benchmark: full.Benchmark, Workload: full.Workload,
+			TraceName: full.TraceName, Seed: full.Seed,
+			HighPerf: full.HighPerf[:windows*k], LowPower: full.LowPower[:windows*k]}
+		deploy := func() {
+			if _, err := m.Replay(g, c.Traces[0], ref, cfg, pm, core.DeployOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deploy() // fills the recording's table and its reference span
+		return testing.AllocsPerRun(20, deploy)
+	}
+	if short, long := allocs(n), allocs(2*n); short != long {
+		t.Errorf("a deployment of %d windows allocates %.0f times, one of %d windows %.0f", n, short, 2*n, long)
 	}
 }

@@ -18,8 +18,24 @@ const MaxPlausibleIPC = 16
 // of internal/fault do — a dropped snapshot reads all-zero, frozen
 // counters repeat the previous interval verbatim, and glitched counters
 // break cross-signal arithmetic (more busy cycles than cycles, impossible
-// IPC). Returns "" for plausible vectors.
+// IPC). Returns "" for plausible vectors. It is ImplausibleVector's
+// checks, then Frozen's.
 func ImplausibleBase(base, prev []float64) string {
+	if reason := ImplausibleVector(base); reason != "" {
+		return reason
+	}
+	if Frozen(base, prev) {
+		return "frozen"
+	}
+	return ""
+}
+
+// ImplausibleVector runs the checks of ImplausibleBase that read base
+// alone — arity, negative counts, all-zero, zero cycles, IPC and busy
+// cycles — and returns the first one's reason, or "". A vector that
+// passes them passes ImplausibleBase unless it repeats its predecessor,
+// so a store of read-only vectors can check each one once.
+func ImplausibleVector(base []float64) string {
 	if len(base) != NumBase {
 		return "wrong-arity"
 	}
@@ -47,17 +63,20 @@ func ImplausibleBase(base, prev []float64) string {
 	if busy > cycles {
 		return "busy-exceeds-cycles"
 	}
-	if prev != nil && len(prev) == len(base) {
-		frozen := true
-		for i := range base {
-			if base[i] != prev[i] {
-				frozen = false
-				break
-			}
-		}
-		if frozen {
-			return "frozen"
+	return ""
+}
+
+// Frozen reports whether base repeats prev verbatim, the freeze check of
+// ImplausibleBase and the one that needs the previous interval. A nil prev
+// or one of another length is never frozen.
+func Frozen(base, prev []float64) bool {
+	if prev == nil || len(prev) != len(base) {
+		return false
+	}
+	for i := range base {
+		if base[i] != prev[i] {
+			return false
 		}
 	}
-	return ""
+	return true
 }

@@ -345,12 +345,19 @@ func (p *Projection) Count(n int) {
 }
 
 // Snapshot returns the selected counters of base's full expansion (see
-// CounterSet.Snapshot), in column order.
+// CounterSet.Snapshot), in column order, in a new vector.
 func (p *Projection) Snapshot(base []float64, normalize bool, rng *rand.Rand) []float64 {
+	return p.SnapshotInto(nil, base, normalize, rng)
+}
+
+// SnapshotInto is Snapshot writing into dst: it returns dst resliced to the
+// projection's width, or a new vector when dst is too short, so a caller
+// that takes snapshots in a loop can reuse one vector.
+func (p *Projection) SnapshotInto(dst, base []float64, normalize bool, rng *rand.Rand) []float64 {
 	if len(base) != NumBase {
 		panic(fmt.Sprintf("telemetry: base vector has %d signals, want %d", len(base), NumBase))
 	}
-	out := make([]float64, p.width)
+	out := resize(dst, p.width)
 	for i := range p.steps {
 		st := &p.steps[i]
 		v := st.spec.value(base, rng)
@@ -358,6 +365,8 @@ func (p *Projection) Snapshot(base []float64, normalize bool, rng *rand.Rand) []
 			out[st.out] = v
 		}
 	}
+	// Every position is a step's output or a duplicate of one, so a reused
+	// dst is overwritten whole.
 	for _, d := range p.dups {
 		out[d[0]] = out[d[1]]
 	}
@@ -407,16 +416,33 @@ func (sp *counterSpec) value(base []float64, rng *rand.Rand) float64 {
 // matching the paper's "sum over successive intervals and re-normalize"
 // procedure for coarser prediction granularities.
 func Aggregate(bases [][]float64) []float64 {
+	return AggregateInto(nil, bases)
+}
+
+// AggregateInto is Aggregate summing into dst: it returns dst resliced to
+// the first vector's length and zeroed before the sum, or a new vector
+// when dst is too short. It returns nil for no vectors.
+func AggregateInto(dst []float64, bases [][]float64) []float64 {
 	if len(bases) == 0 {
 		return nil
 	}
-	out := make([]float64, len(bases[0]))
+	out := resize(dst, len(bases[0]))
+	clear(out)
 	for _, b := range bases {
 		for i, v := range b {
 			out[i] += v
 		}
 	}
 	return out
+}
+
+// resize returns dst resliced to n, or a new vector of n when dst's
+// capacity is short.
+func resize(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
 }
 
 // Table4Names is the 12-counter set the paper's PF selection identified
