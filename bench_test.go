@@ -227,7 +227,7 @@ func BenchmarkTable5SLA(b *testing.B) {
 func BenchmarkTable6AppSpecific(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		general, err := experiments.BuildGeneralBestRF(e)
+		general, err := e.GeneralBestRF()
 		if err != nil {
 			b.Fatal(err)
 		}

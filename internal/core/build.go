@@ -68,8 +68,9 @@ func (in *BuildInputs) defaults() {
 type TrainFunc func(tune *ml.Dataset, seed int64) (interface{ Score([]float64) float64 }, error)
 
 // BuildController trains per-mode models with the given trainer, wraps
-// them in metered firmware, calibrates sensitivities on held-out
-// applications, and sizes the prediction granularity to the budget.
+// them in firmware priced by its static cost, calibrates sensitivities on
+// held-out applications, and sizes the prediction granularity to the
+// budget.
 //
 // Training happens at the deployment granularity: a probe model trained on
 // a data subsample establishes the firmware cost, the budget fixes the

@@ -101,8 +101,8 @@ func SaveController(w io.Writer, g *GatingController) error {
 
 // LoadController reads a firmware image, verifies its integrity envelope,
 // and reconstructs a deployable controller, rewrapping each model in
-// op-metered firmware. A corrupted image fails with mcu.ErrImageCorrupt
-// and never deploys.
+// firmware priced by its static cost. A corrupted image fails with
+// mcu.ErrImageCorrupt and never deploys.
 func LoadController(r io.Reader) (*GatingController, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

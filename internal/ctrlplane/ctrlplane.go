@@ -98,10 +98,6 @@ type Config struct {
 	// backpressure bound on how far producers can run ahead of their
 	// consumer. Zero selects 4.
 	QueueDepth int
-	// MaxTicks bounds the campaign; zero derives a bound from the ring
-	// layout (plus the fault plan's horizon when one is set) with slack.
-	// Run returns an error if the bound is hit.
-	MaxTicks int
 	// LeaseTicks is the liveness lease: a soaking machine whose telemetry
 	// has not arrived for more than LeaseTicks is marked stale and
 	// quarantined out of gate denominators until it reports again. Zero
@@ -248,13 +244,10 @@ func (c *Config) ringLayout() [][]int {
 
 // maxTicks derives the campaign bound: flash waves plus soak ticks per
 // ring, plus generous slack for pipeline stalls.
-func (c *Config) maxTicks(rings [][]int) int {
-	if c.MaxTicks > 0 {
-		return c.MaxTicks
-	}
+func (s *Service) maxTicks() int {
 	t := 0
-	for _, r := range rings {
-		t += waves(len(r), c.FlashPerTick) + c.SoakTicks + 1
+	for _, r := range s.rings {
+		t += waves(len(r.machines), s.cfg.FlashPerTick) + s.cfg.SoakTicks + 1
 	}
 	return t + 8
 }
@@ -510,8 +503,8 @@ func (s *Service) Done() bool {
 // closing the service. It errors only if the campaign exceeds its tick
 // bound without reaching a terminal state.
 func (s *Service) Run() (*Report, error) {
-	max := s.cfg.maxTicks(s.ringMachineLists())
-	if s.cfg.MaxTicks == 0 && s.flt != nil {
+	max := s.maxTicks()
+	if s.flt != nil {
 		// An unreliable fleet legitimately takes longer: churn transitions
 		// keep landing through the plan's horizon, and deferred gates
 		// re-evaluate until enough leases renew.
@@ -528,16 +521,6 @@ func (s *Service) Run() (*Report, error) {
 		return nil, fmt.Errorf("ctrlplane: campaign did not terminate within %d ticks", max)
 	}
 	return s.report(), nil
-}
-
-// ringMachineLists adapts the ring control list back to machine-ID slices
-// for the tick-bound estimate.
-func (s *Service) ringMachineLists() [][]int {
-	out := make([][]int, len(s.rings))
-	for i, r := range s.rings {
-		out[i] = r.machines
-	}
-	return out
 }
 
 // Tick advances the control loop one logical interval: apply churn

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -9,7 +8,6 @@ import (
 
 	"clustergate/internal/core"
 	"clustergate/internal/ctrlplane"
-	"clustergate/internal/fleet"
 	"clustergate/internal/obs"
 )
 
@@ -77,21 +75,8 @@ func CtrlplaneSoak(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplane
 	if n == 0 {
 		n = 10_000
 	}
-	traces, tel := sweepSubset(e)
-	wl := fleet.Workload{Traces: traces, Tel: tel, Cfg: e.Cfg, PM: e.PM, Oracle: e.SimOracle()}
-
-	var img bytes.Buffer
-	if err := core.SaveController(&img, g); err != nil {
-		return nil, err
-	}
-	// The bad image mirrors the fleet-rollout study: gating thresholds
-	// destroyed so every window gates — invisible to CRC, fatal to the
-	// canary's misgate-rate gate.
-	bad := *g
-	bad.Name = g.Name + "-miscalibrated"
-	bad.ThresholdHigh, bad.ThresholdLow = -1e9, -1e9
-	var badImg bytes.Buffer
-	if err := core.SaveController(&badImg, &bad); err != nil {
+	wl, img, badImg, err := soakWorkload(e, g)
+	if err != nil {
 		return nil, err
 	}
 
@@ -100,7 +85,7 @@ func CtrlplaneSoak(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplane
 	if ckptDir != "" {
 		goodCfg.CheckpointPath = filepath.Join(ckptDir, "ctrlplane-soak-good.ckpt")
 	}
-	gs, err := ctrlplane.New(goodCfg, img.Bytes(), wl)
+	gs, err := ctrlplane.New(goodCfg, img, wl)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +100,7 @@ func CtrlplaneSoak(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplane
 	if ckptDir != "" {
 		badCfg.CheckpointPath = filepath.Join(ckptDir, "ctrlplane-soak-bad.ckpt")
 	}
-	bs, err := ctrlplane.New(badCfg, badImg.Bytes(), wl)
+	bs, err := ctrlplane.New(badCfg, badImg, wl)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +114,7 @@ func CtrlplaneSoak(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplane
 		Model:    g.Name,
 		Machines: n,
 		Shards:   goodRep.Shards,
-		Traces:   len(traces),
+		Traces:   len(wl.Traces),
 		Good:     goodRep,
 		Bad:      badRep,
 

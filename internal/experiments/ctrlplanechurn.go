@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"clustergate/internal/core"
 	"clustergate/internal/ctrlplane"
 	"clustergate/internal/fault"
-	"clustergate/internal/fleet"
 	"clustergate/internal/obs"
 )
 
@@ -104,22 +102,12 @@ func CtrlplaneChurn(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplan
 	if n /= 5; n < 500 {
 		n = 500
 	}
-	traces, tel := sweepSubset(e)
-	wl := fleet.Workload{Traces: traces, Tel: tel, Cfg: e.Cfg, PM: e.PM, Oracle: e.SimOracle()}
-
-	var img bytes.Buffer
-	if err := core.SaveController(&img, g); err != nil {
-		return nil, err
-	}
-	bad := *g
-	bad.Name = g.Name + "-miscalibrated"
-	bad.ThresholdHigh, bad.ThresholdLow = -1e9, -1e9
-	var badImg bytes.Buffer
-	if err := core.SaveController(&badImg, &bad); err != nil {
+	wl, img, badImg, err := soakWorkload(e, g)
+	if err != nil {
 		return nil, err
 	}
 
-	res := &CtrlplaneChurnResult{Model: g.Name, Machines: n, Traces: len(traces)}
+	res := &CtrlplaneChurnResult{Model: g.Name, Machines: n, Traces: len(wl.Traces)}
 	start := time.Now()
 	for _, rate := range []float64{0.05, 0.10} {
 		for _, lease := range []int{2, 4} {
@@ -129,7 +117,7 @@ func CtrlplaneChurn(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplan
 			if ckptDir != "" {
 				cfg.CheckpointPath = filepath.Join(ckptDir, cfg.Name+".ckpt")
 			}
-			s, err := ctrlplane.New(cfg, img.Bytes(), wl)
+			s, err := ctrlplane.New(cfg, img, wl)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +137,7 @@ func CtrlplaneChurn(e *Env, g *core.GatingController, ckptDir string) (*Ctrlplan
 	if ckptDir != "" {
 		bcfg.CheckpointPath = filepath.Join(ckptDir, bcfg.Name+".ckpt")
 	}
-	bs, err := ctrlplane.New(bcfg, badImg.Bytes(), wl)
+	bs, err := ctrlplane.New(bcfg, badImg, wl)
 	if err != nil {
 		return nil, err
 	}

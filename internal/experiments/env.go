@@ -150,6 +150,12 @@ type Env struct {
 	rankMu  sync.Mutex
 	rankR   int
 	ranking []int
+
+	// generalRF is the general Best RF, trained by the first GeneralBestRF
+	// call.
+	generalRFOnce sync.Once
+	generalRF     *core.GatingController
+	generalRFErr  error
 }
 
 // SimOracle returns the environment's simulation oracle, defaulting to
@@ -228,7 +234,7 @@ func NewEnvLogged(scale Scale, cacheDir string, seed int64, log io.Writer) (*Env
 	}
 	e.logf("PF counter selection in %.1fs: %v", time.Since(start).Seconds(), e.PFNames)
 
-	e.ExpertColumns, err = columnsByName(e.CS, telemetry.ExpertNames())
+	e.ExpertColumns, err = core.ColumnsByName(e.CS, telemetry.ExpertNames())
 	if err != nil {
 		return nil, err
 	}
@@ -297,19 +303,3 @@ func (e *Env) logf(format string, args ...any) {
 		fmt.Fprintf(e.Log, "# "+format+"\n", args...)
 	}
 }
-
-func columnsByName(cs *telemetry.CounterSet, names []string) ([]int, error) {
-	out := make([]int, len(names))
-	for i, n := range names {
-		idx := cs.Index(n)
-		if idx < 0 {
-			return nil, fmt.Errorf("experiments: counter %q missing", n)
-		}
-		out[i] = idx
-	}
-	return out, nil
-}
-
-// DefaultScaleSpec returns the paper's microcontroller spec (a convenience
-// mirror of mcu.DefaultSpec for tests and tools in this package).
-func DefaultScaleSpec() mcu.Spec { return mcu.DefaultSpec() }

@@ -7,6 +7,7 @@ import (
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
+	"clustergate/internal/mcu"
 )
 
 // sharedQuickEnv is built once; experiments exercise it read-only.
@@ -54,7 +55,7 @@ func TestEnvCounterSelection(t *testing.T) {
 }
 
 func TestTable3BudgetMatchesPaper(t *testing.T) {
-	rows := Table3Budget(DefaultScaleSpec())
+	rows := Table3Budget(mcu.DefaultSpec())
 	if rows[0].Granularity != 10_000 || rows[0].MaxOps != 312 || rows[0].Budget != 156 {
 		t.Errorf("10k row = %+v, want 312/156", rows[0])
 	}
@@ -208,7 +209,7 @@ func TestFig9FromSummaries(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var sb strings.Builder
-	PrintTable3(&sb, Table3Budget(DefaultScaleSpec()), nil)
+	PrintTable3(&sb, Table3Budget(mcu.DefaultSpec()), nil)
 
 	PrintFig4(&sb, []Fig4Point{{TuningApps: 5}})
 	PrintFig7(&sb, []Fig7Row{{Benchmark: "x", Residency: 0.5}}, 0.5)

@@ -94,7 +94,7 @@ func BuildFig8Controllers(e *Env) ([]*core.GatingController, error) {
 	}
 	out = append(out, bestMLP)
 
-	bestRF, err := core.BuildBestRF(in)
+	bestRF, err := e.GeneralBestRF()
 	if err != nil {
 		return nil, fmt.Errorf("best-rf: %w", err)
 	}
@@ -210,8 +210,15 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 	}
 }
 
-// BuildGeneralBestRF trains the general-purpose Best RF controller.
-func BuildGeneralBestRF(e *Env) (*core.GatingController, error) {
-	defer obs.Start("build.general-best-rf").End()
-	return core.BuildBestRF(e.buildInputs(0.9))
+// GeneralBestRF returns the general-purpose Best RF controller: Figure 8's
+// best-rf row, and the controller Table 6 and the guardrail, fault,
+// rollout, control-plane and surrogate studies deploy. The first call
+// trains it and every later call returns the same controller, which
+// callers must not modify.
+func (e *Env) GeneralBestRF() (*core.GatingController, error) {
+	e.generalRFOnce.Do(func() {
+		defer obs.Start("build.general-best-rf").End()
+		e.generalRF, e.generalRFErr = core.BuildBestRF(e.buildInputs(0.9))
+	})
+	return e.generalRF, e.generalRFErr
 }

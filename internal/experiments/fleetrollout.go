@@ -129,6 +129,28 @@ func rolloutArms(n int) []rolloutArm {
 	}
 }
 
+// soakWorkload is what every rollout study ships and soaks on: the
+// workload over sweepSubset's traces, the controller's sealed image, and
+// the sealed image of a bad build of it — the same model with its gating
+// thresholds miscalibrated so far down that every window gates, the kind
+// of semantic regression a CRC envelope can never catch, only a health
+// gate can.
+func soakWorkload(e *Env, g *core.GatingController) (wl fleet.Workload, img, badImg []byte, err error) {
+	traces, tel := sweepSubset(e)
+	wl = fleet.Workload{Traces: traces, Tel: tel, Cfg: e.Cfg, PM: e.PM, Oracle: e.SimOracle()}
+	bad := *g
+	bad.Name = g.Name + "-miscalibrated"
+	bad.ThresholdHigh, bad.ThresholdLow = -1e9, -1e9
+	var good, miscal bytes.Buffer
+	if err := core.SaveController(&good, g); err != nil {
+		return wl, nil, nil, err
+	}
+	if err := core.SaveController(&miscal, &bad); err != nil {
+		return wl, nil, nil, err
+	}
+	return wl, good.Bytes(), miscal.Bytes(), nil
+}
+
 // FleetRollout maps the fleet-rollout policy frontier: every arm flashes
 // the trained controller's sealed image across the simulated fleet under
 // its transport-corruption pressure, then re-runs the same policy on a
@@ -147,21 +169,8 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 	if n%12 != 0 {
 		return nil, fmt.Errorf("experiments: fleet size %d not divisible by 12", n)
 	}
-	traces, tel := sweepSubset(e)
-	wl := fleet.Workload{Traces: traces, Tel: tel, Cfg: e.Cfg, PM: e.PM, Oracle: e.SimOracle()}
-
-	var img bytes.Buffer
-	if err := core.SaveController(&img, g); err != nil {
-		return nil, err
-	}
-	// The bad image: same model, gating thresholds miscalibrated so far
-	// down that every window gates — the kind of semantic regression a CRC
-	// envelope can never catch, only a health gate can.
-	bad := *g
-	bad.Name = g.Name + "-miscalibrated"
-	bad.ThresholdHigh, bad.ThresholdLow = -1e9, -1e9
-	var badImg bytes.Buffer
-	if err := core.SaveController(&badImg, &bad); err != nil {
+	wl, img, badImg, err := soakWorkload(e, g)
+	if err != nil {
 		return nil, err
 	}
 
@@ -173,7 +182,7 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 			good.Name = "fleet/" + a.Key + "/good"
 			good.Seed = e.Seed + int64(k)
 			good.Workers = e.Scale.Workers
-			gr, err := runArm(good, a.Rings, img.Bytes(), wl)
+			gr, err := runArm(good, a.Rings, img, wl)
 			if err != nil {
 				return FleetRolloutRow{}, fmt.Errorf("experiments: rollout arm %s: %w", a.Key, err)
 			}
@@ -182,7 +191,7 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 			badCfg := good
 			badCfg.Name = "fleet/" + a.Key + "/bad"
 			badCfg.CorruptProb = 0
-			br, err := runArm(badCfg, a.Rings, badImg.Bytes(), wl)
+			br, err := runArm(badCfg, a.Rings, badImg, wl)
 			if err != nil {
 				return FleetRolloutRow{}, fmt.Errorf("experiments: rollout arm %s (bad image): %w", a.Key, err)
 			}
@@ -204,7 +213,7 @@ func FleetRollout(e *Env, g *core.GatingController) (*FleetRolloutResult, error)
 	return &FleetRolloutResult{
 		Model:    g.Name,
 		Machines: n,
-		Traces:   len(traces),
+		Traces:   len(wl.Traces),
 		Rows:     rows,
 	}, nil
 }

@@ -47,12 +47,12 @@ func fleetTestEnv(t *testing.T, workers int) (*Env, *core.GatingController) {
 
 // TestFleetRolloutDeterministic locks the study's contract: identical
 // results, byte-identical rendering, and byte-identical JSON (the
-// -rolloutjson payload) at any worker count — plus the paper-facing
-// acceptance claims: at the same flash rate, the staged gated policy
-// finishes within one soak of the big bang and exposes fewer machines to
-// transport corruption than the unverified big-bang, and a semantically
-// bad image that the big-bang ships to the whole fleet is caught in the
-// canary ring and rolled back.
+// BENCH_fleet_rollout.json artifact) at any worker count — plus the
+// paper-facing acceptance claims: at the same flash rate, the staged
+// gated policy finishes within one soak of the big bang and exposes
+// fewer machines to transport corruption than the unverified big-bang,
+// and a semantically bad image that the big-bang ships to the whole
+// fleet is caught in the canary ring and rolled back.
 func TestFleetRolloutDeterministic(t *testing.T) {
 	e1, g1 := fleetTestEnv(t, 1)
 	r1, err := FleetRollout(e1, g1)

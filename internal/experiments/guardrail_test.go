@@ -1,10 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"clustergate/internal/core"
+)
 
 func TestGuardrailStudyShape(t *testing.T) {
 	e := quickEnv(t)
-	g, err := BuildGeneralBestRF(e)
+	g, err := e.GeneralBestRF()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,5 +49,52 @@ func TestGranularitySweepShape(t *testing.T) {
 	if pts[len(pts)-1].PPW > pts[2].PPW+0.08 {
 		t.Errorf("100k PPW %.3f far above 40k PPW %.3f; granularity trend inverted",
 			pts[len(pts)-1].PPW, pts[2].PPW)
+	}
+}
+
+// TestGeneralBestRFTrainedOnce: an env trains its general Best RF once —
+// repeated and concurrent calls on a zero-initialised Env return one
+// controller — and its sealed image is byte-identical to the one
+// core.BuildBestRF seals from the same inputs.
+func TestGeneralBestRFTrainedOnce(t *testing.T) {
+	q := quickEnv(t)
+	e := &Env{Cfg: q.Cfg, CS: q.CS, Spec: q.Spec, Seed: q.Seed, HDTRTel: q.HDTRTel, PFColumns: q.PFColumns}
+	got := make([]*core.GatingController, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := e.GeneralBestRF()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = g
+		}()
+	}
+	wg.Wait()
+	again, err := e.GeneralBestRF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		if g == nil || g != again {
+			t.Fatalf("call %d returned %p, want the one controller %p", i, g, again)
+		}
+	}
+
+	want, err := core.BuildBestRF(e.buildInputs(0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := core.SaveController(&a, again); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SaveController(&b, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("GeneralBestRF image (%d B) differs from core.BuildBestRF's (%d B)", a.Len(), b.Len())
 	}
 }

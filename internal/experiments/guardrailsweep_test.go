@@ -48,10 +48,10 @@ func sweepTestEnv(t *testing.T, workers int) (*Env, *core.GatingController) {
 
 // TestSweepWorkerIndependence locks the sweep's contract now that the
 // config×plan arms fan out through parallel.Map: identical results,
-// byte-identical rendering, and byte-identical JSON (the -sweepjson
-// payload) at any worker count; every fault class covered with real
-// injections; and the CRC detector rejecting every seeded single-bit
-// image flip.
+// byte-identical rendering, and byte-identical JSON (the
+// BENCH_guardrail_sweep.json artifact) at any worker count; every fault
+// class covered with real injections; and the CRC detector rejecting
+// every seeded single-bit image flip.
 func TestSweepWorkerIndependence(t *testing.T) {
 	e1, g1 := sweepTestEnv(t, 1)
 	r1, err := GuardrailSweep(e1, g1)

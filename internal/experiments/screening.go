@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
@@ -66,26 +67,9 @@ func evalOnTraces(m Scorer, lts []*dataset.LabeledTrace, thr float64, win metric
 			}
 			conf.Add(pred[i], lt.Y[i])
 		}
-		w := win.W
-		for start := 0; start < len(pred); start += w {
-			end := start + w
-			if end > len(pred) {
-				end = len(pred)
-			}
-			if end == start {
-				continue
-			}
-			fp := 0
-			for i := start; i < end; i++ {
-				if pred[i] == 1 && lt.Y[i] == 0 {
-					fp++
-				}
-			}
-			windows++
-			if float64(fp)/float64(end-start) > 0.5 {
-				violations++
-			}
-		}
+		n, v := metrics.WindowTally(pred, lt.Y, win.W)
+		windows += n
+		violations += v
 	}
 	if windows > 0 {
 		rsv = float64(violations) / float64(windows)
@@ -108,7 +92,7 @@ func splitTraces(lts []*dataset.LabeledTrace, valFrac float64, tuneApps int, see
 		apps = append(apps, a)
 	}
 	// Map iteration order is random; sort for determinism before shuffling.
-	sortStrings(apps)
+	sort.Strings(apps)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(apps), func(i, j int) { apps[i], apps[j] = apps[j], apps[i] })
 
@@ -139,18 +123,6 @@ func splitTraces(lts []*dataset.LabeledTrace, valFrac float64, tuneApps int, see
 	return tune, val
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func flattenTraces(lts []*dataset.LabeledTrace) *ml.Dataset {
-	return dataset.Flatten(lts, false)
-}
-
 // Screen cross-validates a trainer: for each fold, train on up to
 // tuneApps applications and measure PGOS/RSV/FPR on held-out validation
 // applications at the given threshold.
@@ -169,7 +141,7 @@ func (e *Env) Screen(train Trainer, lts []*dataset.LabeledTrace, tuneApps int, t
 	folds, err := parallel.Map(e.Cfg.Workers, e.Scale.Folds, func(f int) (foldResult, error) {
 		defer foldsExecuted.Inc()
 		tuneTr, valTr := splitTraces(lts, 0.2, tuneApps, e.Seed+int64(f)*7919)
-		tune := flattenTraces(tuneTr)
+		tune := dataset.Flatten(tuneTr, false)
 		if tune.Len() == 0 || len(valTr) == 0 {
 			return foldResult{}, fmt.Errorf("experiments: empty fold (tuneApps=%d)", tuneApps)
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clustergate/internal/core"
+	"clustergate/internal/metrics"
 	"clustergate/internal/obs"
 	"clustergate/internal/surrogate"
 )
@@ -111,8 +112,8 @@ func SurrogateBench(e *Env, m *surrogate.Model, g *core.GatingController, budget
 	}
 	if len(errs) > 0 {
 		sort.Float64s(errs)
-		res.ErrP50 = quantileAt(errs, 0.50)
-		res.ErrP95 = quantileAt(errs, 0.95)
+		res.ErrP50 = metrics.Quantile(errs, 0.50)
+		res.ErrP95 = metrics.Quantile(errs, 0.95)
 		res.ErrMax = errs[len(errs)-1]
 	}
 	if windows > 0 {
@@ -141,22 +142,6 @@ func deployTwice(deploy func() (*core.GuardedDeploymentResult, error)) (res *cor
 		return nil, 0, 0, fmt.Errorf("repeated deployment differs from the first")
 	}
 	return res, first, repeat, nil
-}
-
-// quantileAt reads quantile q from an ascending-sorted slice using the
-// same ceil convention as the surrogate trainer's holdout percentile.
-func quantileAt(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // PrintSurrogateBench renders the deterministic half of the comparison:

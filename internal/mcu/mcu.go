@@ -13,7 +13,6 @@ package mcu
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"clustergate/internal/ml/forest"
 	"clustergate/internal/ml/linear"
@@ -188,16 +187,14 @@ func SRCHCost(counters, buckets int) Cost {
 	return Cost{Ops: hist + lr, MemoryBytes: 4*(features+1) + 4*counters*(buckets-1)}
 }
 
-// Firmware wraps a trained model with its firmware cost and a deployment-
-// time operation meter, modelling inference executing on the MCU. The
-// meter is atomic so one controller image can serve concurrent trace
-// deployments.
+// Firmware wraps a trained model with its firmware cost, modelling
+// inference executing on the MCU. The cost is static, derived from the
+// model's structure, so one image serves concurrent trace deployments
+// with no shared state.
 type Firmware struct {
 	Name  string
 	Model interface{ Score([]float64) float64 }
 	Cost  Cost
-
-	opsExecuted atomic.Uint64
 }
 
 // NewFirmware builds a firmware image for any supported model type,
@@ -227,14 +224,8 @@ func NewFirmware(name string, model interface{ Score([]float64) float64 }, input
 	return &Firmware{Name: name, Model: model, Cost: c}, nil
 }
 
-// Score runs one inference and meters its operations.
-func (f *Firmware) Score(x []float64) float64 {
-	f.opsExecuted.Add(uint64(f.Cost.Ops))
-	return f.Model.Score(x)
-}
-
-// OpsExecuted returns the cumulative operations metered.
-func (f *Firmware) OpsExecuted() uint64 { return f.opsExecuted.Load() }
+// Score runs one inference.
+func (f *Firmware) Score(x []float64) float64 { return f.Model.Score(x) }
 
 // FitsBudget reports whether the firmware can predict at the given
 // granularity on the spec.

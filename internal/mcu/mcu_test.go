@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clustergate/internal/ml/forest"
-	"clustergate/internal/ml/mlp"
 	"clustergate/internal/ml/mltest"
 )
 
@@ -136,24 +135,6 @@ func TestOrderingMatchesTable3(t *testing.T) {
 	if !(chi > bigMLP && bigMLP > rf16 && rf16 > rf8 && bestMLP > rf8 && rf8 > lr) {
 		t.Errorf("cost ordering violated: chi=%d big=%d rf16=%d rf8=%d best=%d lr=%d",
 			chi, bigMLP, rf16, rf8, bestMLP, lr)
-	}
-}
-
-func TestFirmwareMetering(t *testing.T) {
-	train := mltest.Linear(500, 12, 5, 1)
-	n, err := mlp.Train(mlp.Config{Hidden: []int{8, 8, 4}, Epochs: 2, Seed: 1}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := NewFirmware("best-mlp", n, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		fw.Score(train.X[i])
-	}
-	if got := fw.OpsExecuted(); got != uint64(10*fw.Cost.Ops) {
-		t.Errorf("ops executed = %d, want %d", got, 10*fw.Cost.Ops)
 	}
 }
 

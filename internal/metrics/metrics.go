@@ -156,6 +156,22 @@ func Evaluate(pred, truth []int, win SLAWindow) Eval {
 	return e
 }
 
+// Quantile reads the q-quantile from an ascending-sorted slice: the
+// element at rank ceil(q·n), clamped to the slice; 0 when it is empty.
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
 // MeanStd returns the mean and population standard deviation of a metric
 // across folds, the summary Figures 4–6 plot.
 func MeanStd(values []float64) (mean, std float64) {

@@ -62,7 +62,7 @@ type UarchBenchmark struct {
 	AllocsPerOp  float64 `json:"allocs_per_op" gate:"count"`
 }
 
-// SurrogateBench is BENCH_surrogate.json (paperbench -surrogatejson): the
+// SurrogateBench is BENCH_surrogate.json (paperbench surrogate-bench): the
 // exact and surrogate paths' per-deployment wall clock, first deployment
 // of a trace and an identical repeat, and the surrogate's relative IPC
 // error against the exact path.
@@ -86,7 +86,7 @@ type SurrogateBench struct {
 	WithinBudget               bool    `json:"within_budget" gate:"verdict"`
 }
 
-// CtrlplaneBench is BENCH_ctrlplane.json (paperbench -ctrlplanejson): the
+// CtrlplaneBench is BENCH_ctrlplane.json (paperbench ctrlplane-soak): the
 // ctrlplane-soak campaign's volume, throughput and decision latency, and
 // its outcome verdicts.
 type CtrlplaneBench struct {
@@ -105,7 +105,7 @@ type CtrlplaneBench struct {
 }
 
 // CtrlplaneChurnBench is BENCH_ctrlplane_churn.json (paperbench
-// -churnjson): the churn-rate × lease-policy sweep, one arm per campaign,
+// ctrlplane-churn): the churn-rate × lease-policy sweep, one arm per campaign,
 // plus the bad-image verdict and the sweep's decision latency.
 type CtrlplaneChurnBench struct {
 	Arms          []ChurnBenchArm `json:"arms"`

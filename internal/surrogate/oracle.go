@@ -9,6 +9,7 @@ import (
 
 	"clustergate/internal/core"
 	"clustergate/internal/dataset"
+	"clustergate/internal/metrics"
 	"clustergate/internal/power"
 	"clustergate/internal/trace"
 	"clustergate/internal/uarch"
@@ -153,8 +154,8 @@ func (o *Oracle) Report() ErrorReport {
 	sort.Float64s(errs)
 	r := ErrorReport{Samples: len(errs), Budget: o.opts.Budget}
 	if len(errs) > 0 {
-		r.P50 = percentile(errs, 0.50)
-		r.P95Err = percentile(errs, 0.95)
+		r.P50 = metrics.Quantile(errs, 0.50)
+		r.P95Err = metrics.Quantile(errs, 0.95)
 		r.Max = errs[len(errs)-1]
 	}
 	r.WithinBudget = r.P95Err <= r.Budget

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"clustergate/internal/dataset"
+	"clustergate/internal/metrics"
 	"clustergate/internal/ml"
 	"clustergate/internal/ml/forest"
 	"clustergate/internal/ml/linear"
@@ -158,22 +159,7 @@ func holdoutP95(m *Model, d *ml.RegDataset) float64 {
 		errs[i] = math.Abs(m.Residual(x) - d.Y[i])
 	}
 	sort.Float64s(errs)
-	return percentile(errs, 0.95)
-}
-
-// percentile reads the q-quantile from an ascending-sorted slice.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return metrics.Quantile(errs, 0.95)
 }
 
 // traceSamples runs one forced-schedule exact simulation of a trace and

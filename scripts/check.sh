@@ -110,12 +110,11 @@ echo "== warm the telemetry cache (unmeasured)"
 go run ./cmd/paperbench -scale quick -exp corpus -seed 1 -q > /dev/null
 
 echo "== paperbench quick benchmark (BENCH_paperbench.json)"
+# -artifacts . writes the guardrail-sweep, fleet-rollout, ctrlplane-soak
+# and ctrlplane-churn BENCH files here under their committed names.
 go run ./cmd/paperbench -scale quick -exp all -seed 1 -q \
     -manifest BENCH_paperbench.json -results BENCH_paperbench_results.json \
-    -sweepjson BENCH_guardrail_sweep.json \
-    -rolloutjson BENCH_fleet_rollout.json \
-    -ctrlplanejson BENCH_ctrlplane.json \
-    -churnjson BENCH_ctrlplane_churn.json \
+    -artifacts . \
     -events BENCH_events.jsonl \
     -trace BENCH_trace.json \
     > /dev/null
@@ -126,7 +125,7 @@ echo "== surrogate benchmark (BENCH_surrogate.json)"
 # distribution land in BENCH_surrogate.json only (stdout is deterministic),
 # and obsdiff gates error drift below just like timing drift.
 go run ./cmd/paperbench -scale quick -exp surrogate-bench -seed 1 -q \
-    -surrogatejson BENCH_surrogate.json \
+    -artifacts . \
     > /dev/null
 
 echo "== validate emitted JSON"

@@ -6,7 +6,10 @@
 // internal/obs, internal/fault, internal/surrogate, internal/ml/linear)
 // must document every exported symbol. It also walks the top-level
 // markdown docs (README.md, ARCHITECTURE.md, EXPERIMENTS.md, DESIGN.md,
-// docs/*.md) and fails on relative links whose targets do not exist.
+// docs/*.md) and fails on relative links whose targets do not exist and
+// on cited Test…, Fuzz… or Benchmark… names that are not a prefix of a
+// function some _test.go file declares (a prefix, so that -run and -bench
+// patterns such as 'BenchmarkUarch' stay valid).
 // Used by check.sh; run it as
 //
 //	go run scripts/lintdoc.go
@@ -22,6 +25,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -72,8 +76,13 @@ func main() {
 		}
 	}
 
-	docs, linkViolations := checkMarkdownLinks()
-	violations = append(violations, linkViolations...)
+	tests, err := testFuncs()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lintdoc:", err)
+		os.Exit(1)
+	}
+	docs, docViolations := checkMarkdown(tests)
+	violations = append(violations, docViolations...)
 
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -81,18 +90,22 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("lintdoc: %d internal packages documented, %d markdown docs link-checked\n", len(dirs), docs)
+	fmt.Printf("lintdoc: %d internal packages documented, %d markdown docs link- and test-name-checked\n", len(dirs), docs)
 }
 
 // mdLink matches inline markdown links [text](target). Reference-style
 // links and autolinks are out of scope — the repo's docs use inline form.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// checkMarkdownLinks verifies that every relative link in the top-level
-// docs and docs/ resolves to an existing file or directory. External
-// schemes and pure fragments are skipped; a #fragment suffix on a
-// relative target is stripped before the existence check.
-func checkMarkdownLinks() (docs int, violations []string) {
+// testName matches a cited test, fuzz target or benchmark name.
+var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+
+// checkMarkdown verifies that every relative link in the top-level docs
+// and docs/ resolves to an existing file or directory, and that every
+// test name they cite is a prefix of one of tests. External schemes and
+// pure fragments are skipped; a #fragment suffix on a relative target is
+// stripped before the existence check.
+func checkMarkdown(tests []string) (docs int, violations []string) {
 	files := []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "DESIGN.md"}
 	extra, _ := filepath.Glob("docs/*.md")
 	files = append(files, extra...)
@@ -102,7 +115,12 @@ func checkMarkdownLinks() (docs int, violations []string) {
 			continue // absent top-level docs are not an error
 		}
 		docs++
-		for _, line := range strings.Split(string(b), "\n") {
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, name := range testName.FindAllString(line, -1) {
+				if !slices.ContainsFunc(tests, func(t string) bool { return strings.HasPrefix(t, name) }) {
+					violations = append(violations, fmt.Sprintf("%s:%d: cites %s, which no _test.go declares", f, i+1, name))
+				}
+			}
 			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 				target := m[1]
 				if strings.Contains(target, "://") || strings.HasPrefix(target, "#") ||
@@ -123,6 +141,34 @@ func checkMarkdownLinks() (docs int, violations []string) {
 		}
 	}
 	return docs, violations
+}
+
+// testFuncs lists the top-level functions the repo's _test.go files
+// declare, skipping hidden and testdata directories.
+func testFuncs() ([]string, error) {
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				names = append(names, fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	return names, err
 }
 
 // hasPackageDoc reports whether any file of the package carries a package
