@@ -94,6 +94,7 @@ type step struct {
 type runnerSource struct {
 	r     *uarch.Runner
 	steps []step
+	cps   []uarch.Checkpoint // the runner's checkpoint after each interval
 }
 
 // NextInterval executes the next interval in mode under derate; it
@@ -106,6 +107,7 @@ func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]f
 		return nil, false
 	}
 	s.steps = append(s.steps, step{mode, derate})
+	s.cps = append(s.cps, uarch.Checkpoint(s.r.AppendCheckpoint(nil)))
 	return telemetry.ExtractBase(delta), false
 }
 
@@ -118,12 +120,13 @@ func (s *deploySuite) liveDeploy(g *GatingController, i int, opts DeployOptions)
 }
 
 // liveSchedule deploys live, like liveDeploy, and also returns the
-// deployment's schedule.
-func (s *deploySuite) liveSchedule(g *GatingController, i int, opts DeployOptions) (*GuardedDeploymentResult, []step, error) {
+// deployment's source, holding its schedule and the runner's checkpoint
+// after each interval.
+func (s *deploySuite) liveSchedule(g *GatingController, i int, opts DeployOptions) (*GuardedDeploymentResult, *runnerSource, error) {
 	tr := s.traces[i]
 	src := &runnerSource{r: uarch.NewRunner(s.cfg.Core, uarch.ModeHighPerf, trace.NewStream(tr), s.cfg.Warmup, g.Interval)}
 	res, err := DeployFrom(g, tr, s.tel[i], s.pm, opts, func() IntervalSource { return src })
-	return res, src.steps, err
+	return res, src, err
 }
 
 // TestDeployTapeMatchesLive is the deployment-level differential test:
@@ -454,19 +457,17 @@ func TestStoredVerdictsMatchFullCheck(t *testing.T) {
 	checkTrieVerdicts(t, s)
 }
 
-// checkTrieVerdicts walks every node of the suite's deployment tries and
+// checkTrieVerdicts visits every edge of the suite's deployment tries and
 // requires its stored verdict to equal the full check of its vector.
 func checkTrieVerdicts(t *testing.T, s *deploySuite) {
 	t.Helper()
-	nodes := 0
-	var walk func(n *trieNode)
-	walk = func(n *trieNode) {
-		for _, kid := range n.kids {
-			nodes++
-			if want := telemetry.ImplausibleBase(kid.base, nil) == ""; kid.plausible != want {
-				t.Fatalf("a trie node stores verdict %v, the full check gives %v", kid.plausible, want)
+	edges := 0
+	check := func(n *trieNode) {
+		for _, e := range n.edges {
+			edges++
+			if want := telemetry.ImplausibleBase(e.base, nil) == ""; e.plausible != want {
+				t.Fatalf("a trie edge stores verdict %v, the full check gives %v", e.plausible, want)
 			}
-			walk(kid)
 		}
 	}
 	for _, tr := range s.traces {
@@ -474,12 +475,15 @@ func checkTrieVerdicts(t *testing.T, s *deploySuite) {
 		rec.mu.Lock()
 		for _, trie := range rec.tries {
 			trie.mu.RLock()
-			walk(&trie.root)
+			check(&trie.root)
+			for _, n := range trie.states {
+				check(n)
+			}
 			trie.mu.RUnlock()
 		}
 		rec.mu.Unlock()
 	}
-	if nodes == 0 {
-		t.Fatal("the deployments stored no trie nodes")
+	if edges == 0 {
+		t.Fatal("the deployments stored no trie edges")
 	}
 }

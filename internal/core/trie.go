@@ -11,52 +11,51 @@ import (
 	"clustergate/internal/uarch"
 )
 
-// Deployment-trie observability: intervals served from a stored node,
-// intervals simulated into new nodes, intervals replayed from a checkpoint
-// to reach a divergence, and the bytes the tries hold (the gauge's peak
-// lands in run manifests as "core.trie.bytes.peak"). A trie's bytes are
-// released when the garbage collector frees it with its trace, so the
-// level counts unreachable tries until the next collection.
+// Deployment-trie observability: intervals served from a stored edge,
+// intervals simulated into new edges, the new edges whose end state an
+// earlier edge had already reached, and the bytes the tries hold (the
+// gauge's peak lands in run manifests as "core.trie.bytes.peak"). A trie's
+// bytes are released when the garbage collector frees it with its trace,
+// so the level counts unreachable tries until the next collection.
 var (
-	trieHits    = obs.NewCounter("core.trie.hits")
-	trieNodes   = obs.NewCounter("core.trie.nodes")
-	trieCatchup = obs.NewCounter("core.trie.catchup")
-	trieBytes   = obs.NewGauge("core.trie.bytes")
+	trieHits   = obs.NewCounter("core.trie.hits")
+	trieNodes  = obs.NewCounter("core.trie.nodes")
+	trieMerges = obs.NewCounter("core.trie.merges")
+	trieBytes  = obs.NewGauge("core.trie.bytes")
 )
 
-// checkpointEvery is the trie depth spacing of runner checkpoints: a
-// deployment that leaves the trie at depth d replays the d mod
-// checkpointEvery intervals since the last checkpoint on its path before
-// it simulates on. Halving it roughly halves that catch-up and doubles the
-// checkpoints' memory, ~3.3 KB each. At 4, 8 and 16 the quick paperbench
-// run caught up 1,336, 5,444 and 13,940 intervals (it simulates 85,236)
-// and its tries peaked at 109, 69 and 49 MB.
-const checkpointEvery = 8
-
 // deployTrie is every interval the exact deployments of one trace have
-// simulated under one interval size and deployment length, stored by
-// schedule: a node is one interval under one (mode, DRAM derate) step,
-// reached from the root by the steps before it. The cycle model's output
-// depends on nothing else — the tape fixes the core and the warmup — so a
-// deployment whose schedule is on the trie reads its intervals from the
-// nodes, and only a new schedule suffix is simulated. Nodes at every
-// checkpointEvery-th depth hold the runner's checkpoint after their
-// interval, so a deployment that leaves the trie resumes from the nearest
-// one on its path rather than from the start of the trace.
+// simulated under one interval size and deployment length, stored as a
+// DAG over machine states. A node is a runner state between two
+// intervals, in the canonical shift-free form of uarch.Checkpoint, at one
+// depth; an edge is one interval under one (mode, DRAM derate) step from
+// a node, with its base vector and the node its end state encodes to. The
+// cycle model's output depends on nothing but the state and the step, so
+// a deployment whose next step leaves its node by a stored edge reads the
+// interval from the edge, and only a new (state, step) pair is simulated.
+// Two schedules that part and reach the same state again share the nodes
+// and edges from there on: a deployment rejoins the DAG one interval
+// after it leaves it, and a later miss resumes the cycle model from its
+// own node's checkpoint.
 //
 // Keying by length keeps every counter independent of the order in which
-// deployments arrive: all deployments of a trie end at the same depth, so
-// no deployment ever extends another's leaf, and the catch-up intervals
-// sum to a function of the trie's final shape.
+// deployments arrive: the states a schedule passes through do not depend
+// on the order, so the nodes are the distinct states the deployments
+// reach, the simulated edges the distinct (state, step) pairs they take,
+// and the merges the edges into a state that are not its first.
 type deployTrie struct {
 	rec      *recordedTape
 	interval int
 
-	// mu guards the nodes' children and end. Node creation is serialised:
-	// a deployment takes the write lock at its first miss and holds it to
-	// its end, so every node is simulated exactly once.
-	mu   sync.RWMutex
+	// mu guards the nodes' edges, states and end. Edge creation is
+	// serialised: a deployment takes the write lock at its first miss and
+	// holds it to its end, so every edge is simulated exactly once.
+	mu sync.RWMutex
+	// root is the tape's warm state, before the first interval.
 	root trieNode
+	// states holds every node but the root by its checkpoint, which
+	// includes the tape position and so the depth.
+	states map[uarch.Checkpoint]*trieNode
 	// end is the depth at which the trace runs dry, -1 until a deployment
 	// finds it. Positions depend only on depth, so it holds for every
 	// schedule.
@@ -72,144 +71,154 @@ type trieHeld struct {
 	_ int64
 }
 
-// trieNode is one simulated interval: the step it ran under, its
-// base-signal vector and whether that passed telemetry.ImplausibleVector,
-// plus a checkpoint at every checkpointEvery-th depth.
+// trieNode is one machine state: its checkpoint (empty for the root) and
+// the steps simulated from it.
 type trieNode struct {
+	cp    uarch.Checkpoint
+	edges []*trieEdge
+}
+
+// trieEdge is one simulated interval: the step it ran under, its
+// base-signal vector and whether that passed telemetry.ImplausibleVector,
+// and the node of the state it ended in.
+type trieEdge struct {
 	mode      uarch.Mode
 	derate    float64
 	base      []float64
 	plausible bool
-	cp        *uarch.Checkpoint
-	kids      []*trieNode
+	to        *trieNode
 }
 
-// child returns the node for the step after n, or nil. derate is compared
+// edge returns the edge for the step from n, or nil. derate is compared
 // exactly: it is the value the cycle model is handed.
-func (n *trieNode) child(mode uarch.Mode, derate float64) *trieNode {
-	for _, k := range n.kids {
-		if k.mode == mode && k.derate == derate {
-			return k
+func (n *trieNode) edge(mode uarch.Mode, derate float64) *trieEdge {
+	for _, e := range n.edges {
+		if e.mode == mode && e.derate == derate {
+			return e
 		}
 	}
 	return nil
 }
 
 func newDeployTrie(rec *recordedTape, interval int) *deployTrie {
-	t := &deployTrie{rec: rec, interval: interval, end: -1, held: &trieHeld{}}
+	t := &deployTrie{rec: rec, interval: interval, states: map[uarch.Checkpoint]*trieNode{}, end: -1, held: &trieHeld{}}
 	runtime.SetFinalizer(t.held, func(h *trieHeld) { trieBytes.Add(-h.n.Load()) })
 	return t
 }
 
+// shadowCheck, set only by tests, is handed every interval an exact
+// deployment serves, with a tape runner of the deployment's own to step
+// along its schedule, so that the DAG can be held to live execution
+// interval by interval.
+var shadowCheck func(shadow *uarch.Runner, depth int, e *trieEdge)
+
 // source returns an interval source for one deployment. The deployment
 // must close it when it ends.
 func (t *deployTrie) source() *trieSource {
-	return &trieSource{t: t, n: &t.root}
+	s := &trieSource{t: t, n: &t.root}
+	if shadowCheck != nil {
+		s.shadow = t.rec.tape.Runner(uarch.ModeHighPerf, t.rec.warmup, t.interval)
+	}
+	return s
 }
 
 // trieSource is the exact interval source: it serves a deployment's
-// intervals from its trace's trie while the schedule stays on it, and at
-// its first miss resumes the cycle model from the nearest checkpoint on
-// its path, catches up to the divergence and simulates on, adding nodes.
+// intervals from its trace's DAG while its steps are stored, and at a
+// miss simulates the step on the cycle model, resumed from the current
+// node's checkpoint unless the model already stands there.
 type trieSource struct {
 	t     *deployTrie
-	n     *trieNode // the node of the last interval served
+	n     *trieNode // the node of the state after the last interval served
 	depth int       // intervals served
-	// cp is the deepest node on the path that holds a checkpoint (nil for
-	// the root, the tape's warm state), since the path's nodes after it.
-	cp    *trieNode
-	since []*trieNode
-	// locked reports that the source holds the trie's write lock; r is
-	// the cycle model once the deployment has left the trie.
+	// locked reports that the source holds the trie's write lock; r is the
+	// cycle model when it stands in the state of n, nil after a hit.
 	locked bool
 	r      *uarch.Runner
+	buf    []byte        // checkpoint scratch
+	shadow *uarch.Runner // see shadowCheck
 }
 
 // NextInterval returns the interval after the current node under the step
 // (mode, derate): the stored vector on a hit, otherwise the one just
-// simulated and stored, with the plausibility verdict taken when the node
+// simulated and stored, with the plausibility verdict taken when the edge
 // was stored. The deployment shares the vector and only reads it.
 func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]float64, bool) {
+	e, dry := s.lookup(mode, derate)
+	if dry {
+		return nil, false
+	}
+	if e != nil {
+		trieHits.Inc()
+		s.r = nil
+	} else if e = s.simulate(mode, derate); e == nil {
+		return nil, false
+	}
+	s.n = e.to
+	s.depth++
+	if shadowCheck != nil {
+		shadowCheck(s.shadow, s.depth, e)
+	}
+	return e.base, e.plausible
+}
+
+// simulate runs the step from the current node on the cycle model and
+// stores its edge, linking it to the node of its end state if an earlier
+// edge reached that state; it returns nil, and records the depth, if the
+// trace has run dry.
+func (s *trieSource) simulate(mode uarch.Mode, derate float64) *trieEdge {
 	if s.r == nil {
-		kid, dry := s.lookup(mode, derate)
-		if dry {
-			return nil, false
+		rec := s.t.rec
+		if s.n == &s.t.root {
+			s.r = rec.tape.Runner(uarch.ModeHighPerf, rec.warmup, s.t.interval)
+		} else {
+			s.r = rec.tape.Resume(s.n.cp, s.t.interval)
 		}
-		if kid != nil {
-			trieHits.Inc()
-			s.advance(kid)
-			return kid.base, kid.plausible
-		}
-		s.resume()
 	}
 	s.r.SetMode(mode)
 	s.r.SetMemDerate(derate)
 	delta, n := s.r.Next()
 	if n == 0 {
 		s.t.end = s.depth
-		return nil, false
+		return nil
 	}
 	base := telemetry.ExtractBase(delta)
-	kid := &trieNode{mode: mode, derate: derate, base: base, plausible: telemetry.ImplausibleVector(base) == ""}
-	size := int(unsafe.Sizeof(*kid)) + 8*len(kid.base)
-	if (s.depth+1)%checkpointEvery == 0 {
-		kid.cp = s.r.Checkpoint()
-		size += kid.cp.Size()
+	e := &trieEdge{mode: mode, derate: derate, base: base, plausible: telemetry.ImplausibleVector(base) == ""}
+	// The edge, its vector and its pointer in the node's edges.
+	size := int(unsafe.Sizeof(*e)) + 8*len(base) + 8
+	s.buf = s.r.AppendCheckpoint(s.buf[:0])
+	if e.to = s.t.states[uarch.Checkpoint(s.buf)]; e.to != nil {
+		trieMerges.Inc()
+	} else {
+		e.to = &trieNode{cp: uarch.Checkpoint(s.buf)}
+		s.t.states[e.to.cp] = e.to
+		// The node, its checkpoint, and its key and value in states.
+		size += int(unsafe.Sizeof(*e.to)) + len(e.to.cp) + int(unsafe.Sizeof(e.to.cp)) + 8
 	}
-	s.n.kids = append(s.n.kids, kid)
+	s.n.edges = append(s.n.edges, e)
 	s.t.held.n.Add(int64(size))
 	trieBytes.Add(int64(size))
 	trieNodes.Inc()
-	s.advance(kid)
-	return kid.base, kid.plausible
+	return e
 }
 
-// lookup finds the current node's child for the step and whether the
-// trace has run dry. Lookups share the read lock until the first miss;
-// then the source takes the write lock, which it holds until it is closed,
-// and looks again, since another deployment may have added the child in
+// lookup finds the current node's edge for the step and whether the trace
+// has run dry. Lookups share the read lock until the first miss; then the
+// source takes the write lock, which it holds until it is closed, and
+// looks again, since another deployment may have added the edge in
 // between. The lock is held across the deployment's calls into its
 // controller, so a controller must not deploy on the same trace.
-func (s *trieSource) lookup(mode uarch.Mode, derate float64) (kid *trieNode, dry bool) {
+func (s *trieSource) lookup(mode uarch.Mode, derate float64) (e *trieEdge, dry bool) {
 	if !s.locked {
 		s.t.mu.RLock()
-		kid, dry = s.n.child(mode, derate), s.depth == s.t.end
+		e, dry = s.n.edge(mode, derate), s.depth == s.t.end
 		s.t.mu.RUnlock()
-		if kid != nil || dry {
-			return kid, dry
+		if e != nil || dry {
+			return e, dry
 		}
 		s.t.mu.Lock()
 		s.locked = true
 	}
-	return s.n.child(mode, derate), s.depth == s.t.end
-}
-
-// advance moves the source to its child kid.
-func (s *trieSource) advance(kid *trieNode) {
-	s.n = kid
-	s.depth++
-	if kid.cp != nil {
-		s.cp, s.since = kid, s.since[:0]
-	} else {
-		s.since = append(s.since, kid)
-	}
-}
-
-// resume starts the cycle model at the current node: from the nearest
-// checkpoint on the path, replaying the steps since it.
-func (s *trieSource) resume() {
-	if s.cp == nil {
-		rec := s.t.rec
-		s.r = rec.tape.Runner(uarch.ModeHighPerf, rec.warmup, s.t.interval)
-	} else {
-		s.r = s.cp.cp.Resume()
-	}
-	for _, n := range s.since {
-		s.r.SetMode(n.mode)
-		s.r.SetMemDerate(n.derate)
-		s.r.Next()
-	}
-	trieCatchup.Add(int64(len(s.since)))
+	return s.n.edge(mode, derate), s.depth == s.t.end
 }
 
 // close releases the trie's write lock if the deployment took it.

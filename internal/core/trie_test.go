@@ -3,12 +3,16 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"clustergate/internal/fault"
 	"clustergate/internal/obs"
 	"clustergate/internal/parallel"
+	"clustergate/internal/telemetry"
 	"clustergate/internal/trace"
+	"clustergate/internal/uarch"
 )
 
 // gateFrom scores 0 for its first n windows and 1 from then on, so a
@@ -35,67 +39,66 @@ type trieCase struct {
 
 // trieCounters is a reading of the trie counters and of the instructions
 // the cycle model timed.
-type trieCounters struct{ hits, nodes, catchup, instrs int64 }
+type trieCounters struct{ hits, nodes, merges, instrs int64 }
 
 func readTrieCounters() trieCounters {
 	return trieCounters{
-		hits:    obs.CounterValue("core.trie.hits"),
-		nodes:   obs.CounterValue("core.trie.nodes"),
-		catchup: obs.CounterValue("core.trie.catchup"),
-		instrs:  obs.CounterValue("uarch.instructions"),
+		hits:   obs.CounterValue("core.trie.hits"),
+		nodes:  obs.CounterValue("core.trie.nodes"),
+		merges: obs.CounterValue("core.trie.merges"),
+		instrs: obs.CounterValue("uarch.instructions"),
 	}
 }
 
 func (a trieCounters) sub(b trieCounters) trieCounters {
-	return trieCounters{a.hits - b.hits, a.nodes - b.nodes, a.catchup - b.catchup, a.instrs - b.instrs}
+	return trieCounters{a.hits - b.hits, a.nodes - b.nodes, a.merges - b.merges, a.instrs - b.instrs}
+}
+
+// liveRun is one live deployment's schedule and its runner's checkpoint
+// after each interval.
+type liveRun struct {
+	steps []step
+	cps   []uarch.Checkpoint
 }
 
 // expectTrie returns the trie counters (instrs aside) that deployments
-// with the given schedules, grouped by trie (trace, interval size and
-// deployment length), must produce: the nodes are the distinct schedule
-// prefixes and the hits the other intervals, and every branch of a
-// prefix-tree node after its first resumes from the checkpoint at or
-// above the node, catching up depth mod checkpointEvery intervals.
-// offsets has bit o set when some branch catches up o.
-func expectTrie(schedules map[[3]int][][]step) (want trieCounters, offsets uint64) {
-	type refNode struct{ kids map[step]*refNode }
-	var walk func(n *refNode, depth int)
-	walk = func(n *refNode, depth int) {
-		if len(n.kids) > 1 {
-			o := depth % checkpointEvery
-			want.catchup += int64((len(n.kids) - 1) * o)
-			offsets |= 1 << o
-		}
-		for _, k := range n.kids {
-			walk(k, depth+1)
-		}
+// with the given live runs, grouped by trie (trace, interval size and
+// deployment length), must produce. The nodes are the distinct states the
+// live runners reach, a state being its checkpoint (which fixes the
+// depth); every distinct (depth, state before, step) triple is simulated
+// once (core.trie.nodes), the other intervals are hits, and the edges
+// that end on a state some other edge reaches are merges.
+func expectTrie(runs map[[3]int][]liveRun) (want trieCounters) {
+	type edge struct {
+		from uarch.Checkpoint // "" for the root
+		st   step
 	}
-	for _, scheds := range schedules {
-		root := &refNode{kids: map[step]*refNode{}}
-		for _, sc := range scheds {
-			n := root
-			for _, st := range sc {
-				k := n.kids[st]
-				if k == nil {
-					k = &refNode{kids: map[step]*refNode{}}
-					n.kids[st] = k
+	for _, rs := range runs {
+		edges := map[edge]bool{}
+		states := map[uarch.Checkpoint]bool{}
+		for _, r := range rs {
+			from := uarch.Checkpoint("")
+			for i, st := range r.steps {
+				if e := (edge{from, st}); !edges[e] {
+					edges[e] = true
 					want.nodes++
 				} else {
 					want.hits++
 				}
-				n = k
+				states[r.cps[i]] = true
+				from = r.cps[i]
 			}
 		}
-		walk(root, 0)
+		want.merges += int64(len(edges) - len(states))
 	}
-	return want, offsets
+	return want
 }
 
 // runTrieCases deploys every case on the trie over workers workers, then
 // live, one by one. It requires each pair to be DeepEqual and returns the
-// counters the trie deployments moved alongside the ones their schedules
+// counters the trie deployments moved alongside the ones the live runs
 // predict.
-func runTrieCases(t *testing.T, s *deploySuite, cases []trieCase, workers int) (got, want trieCounters, offsets uint64) {
+func runTrieCases(t *testing.T, s *deploySuite, cases []trieCase, workers int) (got, want trieCounters) {
 	t.Helper()
 	results := make([]*GuardedDeploymentResult, len(cases))
 	before := readTrieCounters()
@@ -109,10 +112,10 @@ func runTrieCases(t *testing.T, s *deploySuite, cases []trieCase, workers int) (
 		t.Fatal(err)
 	}
 	got = readTrieCounters().sub(before)
-	schedules := map[[3]int][][]step{}
+	runs := map[[3]int][]liveRun{}
 	for i, c := range cases {
 		g := c.ctrl()
-		live, sched, err := s.liveSchedule(g, c.trace, c.opts)
+		live, src, err := s.liveSchedule(g, c.trace, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +125,43 @@ func runTrieCases(t *testing.T, s *deploySuite, cases []trieCase, workers int) (
 		}
 		k := g.Granularity / g.Interval
 		key := [3]int{c.trace, g.Interval, s.tel[c.trace].Intervals() / k * k}
-		schedules[key] = append(schedules[key], sched)
+		runs[key] = append(runs[key], liveRun{src.steps, src.cps})
 	}
-	want, offsets = expectTrie(schedules)
-	return got, want, offsets
+	return got, expectTrie(runs)
+}
+
+// withShadow runs f with every exact deployment stepping a shadow tape
+// runner of its own along its schedule (shadowCheck), and fails the test
+// at the first interval whose base vector, verdict or end state differs
+// from what the DAG served.
+func withShadow(t *testing.T, f func()) {
+	t.Helper()
+	var failed atomic.Bool
+	var checked atomic.Int64
+	shadowCheck = func(shadow *uarch.Runner, depth int, e *trieEdge) {
+		shadow.SetMode(e.mode)
+		shadow.SetMemDerate(e.derate)
+		delta, _ := shadow.Next()
+		base := telemetry.ExtractBase(delta)
+		what := ""
+		switch {
+		case !slices.Equal(base, e.base):
+			what = "base vector"
+		case (telemetry.ImplausibleVector(base) == "") != e.plausible:
+			what = "plausibility verdict"
+		case uarch.Checkpoint(shadow.AppendCheckpoint(nil)) != e.to.cp:
+			what = "end state"
+		}
+		checked.Add(1)
+		if what != "" && failed.CompareAndSwap(false, true) {
+			t.Errorf("interval %d of a deployment: the DAG's %s differs from the shadow runner's", depth, what)
+		}
+	}
+	defer func() { shadowCheck = nil }()
+	f()
+	if checked.Load() == 0 {
+		t.Error("no deployment ran a shadow")
+	}
 }
 
 // randomPlans draws n fault plans that derate DRAM at random rates, burst
@@ -177,14 +213,16 @@ func derateFrom(t *testing.T, tr *trace.Trace, d int) *fault.Injector {
 }
 
 // TestTrieDeployMatchesLive is the trie's differential test: deployments
-// served from the trace's deployment trie must be DeepEqual to live
+// served from the trace's deployment DAG must be DeepEqual to live
 // execution under random fault plans that derate DRAM, with the guardrail
-// on and off; under forced divergences at every depth, so every checkpoint
-// offset is caught up from; under two granularities on one trace, whose
-// deployments end at different depths and so use separate tries; and
-// under an interval twice the recording's, whose deployments run the
-// trace dry. The trie counters must match the prefix tree of the live
-// schedules.
+// on and off; under forced divergences at every depth; under two
+// granularities on one trace, whose deployments end at different depths
+// and so use separate tries; and under an interval twice the recording's,
+// whose deployments run the trace dry. Every interval is also held to a
+// shadow runner (withShadow). The trie counters must match the states and
+// steps of the live runs, and schedules must merge: a deployment gated
+// from one depth or derated from another reaches states that others
+// reached first.
 func TestTrieDeployMatchesLive(t *testing.T) {
 	s := newDeploySuiteOf(t, 21, 2_000)
 	var cases []trieCase
@@ -218,24 +256,22 @@ func TestTrieDeployMatchesLive(t *testing.T) {
 		cases = append(cases, trieCase{func() *GatingController { return &coarse }, 0, DeployOptions{Injector: inj}})
 	}
 
-	got, want, offsets := runTrieCases(t, s, cases, 1)
-	if got.hits != want.hits || got.nodes != want.nodes || got.catchup != want.catchup {
-		t.Errorf("trie counters hits/nodes/catch-up %d/%d/%d, want %d/%d/%d",
-			got.hits, got.nodes, got.catchup, want.hits, want.nodes, want.catchup)
+	var got, want trieCounters
+	withShadow(t, func() { got, want = runTrieCases(t, s, cases, 1) })
+	if got.hits != want.hits || got.nodes != want.nodes || got.merges != want.merges {
+		t.Errorf("trie counters hits/nodes/merges %d/%d/%d, want %d/%d/%d",
+			got.hits, got.nodes, got.merges, want.hits, want.nodes, want.merges)
 	}
-	if all := uint64(1)<<checkpointEvery - 1; offsets != all {
-		t.Errorf("caught up from checkpoint offsets %b, want all of %b", offsets, all)
-	}
-	if got.hits == 0 || got.catchup == 0 {
-		t.Errorf("%d hits and %d catch-up intervals: the cases must exercise both", got.hits, got.catchup)
+	if got.hits == 0 || got.merges == 0 {
+		t.Errorf("%d hits and %d merges: the cases must exercise both", got.hits, got.merges)
 	}
 	checkTrieVerdicts(t, s)
 }
 
 // TestTrieConcurrentDeployments deploys the same traces concurrently,
 // contending for each trace's trie, at 1 and 4 workers: every deployment
-// must equal live execution, and the trie counters and the cycle model's
-// instruction count must be the same at both worker counts.
+// must equal live execution and its shadow, and the trie counters and the
+// cycle model's instruction count must be the same at both worker counts.
 func TestTrieConcurrentDeployments(t *testing.T) {
 	var first trieCounters
 	for _, workers := range []int{1, 4} {
@@ -249,10 +285,11 @@ func TestTrieConcurrentDeployments(t *testing.T) {
 				}
 			}
 		}
-		got, want, _ := runTrieCases(t, s, cases, workers)
-		if got.hits != want.hits || got.nodes != want.nodes || got.catchup != want.catchup {
-			t.Errorf("%d workers: trie counters hits/nodes/catch-up %d/%d/%d, want %d/%d/%d",
-				workers, got.hits, got.nodes, got.catchup, want.hits, want.nodes, want.catchup)
+		var got, want trieCounters
+		withShadow(t, func() { got, want = runTrieCases(t, s, cases, workers) })
+		if got.hits != want.hits || got.nodes != want.nodes || got.merges != want.merges {
+			t.Errorf("%d workers: trie counters hits/nodes/merges %d/%d/%d, want %d/%d/%d",
+				workers, got.hits, got.nodes, got.merges, want.hits, want.nodes, want.merges)
 		}
 		if workers == 1 {
 			first = got
@@ -262,16 +299,54 @@ func TestTrieConcurrentDeployments(t *testing.T) {
 	}
 }
 
+// TestTrieShadowFaultStudy runs a tiny fault study, rounds of the suite's
+// deployments each under a fresh plan that drops and glitches telemetry
+// and derates DRAM in bursts, with the guardrail on, at two workers and
+// under the shadow runners: every interval the DAG serves must equal its
+// deployment's own cycle model. Later rounds must be served mostly from
+// the DAG, through merges.
+func TestTrieShadowFaultStudy(t *testing.T) {
+	s := newDeploySuite(t, 29)
+	gr := DefaultGuardrail()
+	before := readTrieCounters()
+	withShadow(t, func() {
+		for round := int64(0); round < 6; round++ {
+			inj, err := fault.NewInjector(fault.Plan{Seed: 1_000_003 + round, Rules: []fault.Rule{
+				{Class: fault.TelemetryDrop, Rate: 0.03, Burst: 4},
+				{Class: fault.CounterGlitch, Rate: 0.03, Burst: 4},
+				{Class: fault.DRAMDerate, Rate: 0.08, Burst: 3, Factor: 4},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(s.ctrls) * len(s.traces)
+			if err := parallel.ForEach(2, n, func(i int) error {
+				g, tr := s.ctrls[i/len(s.traces)], i%len(s.traces)
+				_, err := DeployWithOptions(g, s.traces[tr], s.tel[tr], s.cfg, s.pm, DeployOptions{Guardrail: &gr, Injector: inj})
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	got := readTrieCounters().sub(before)
+	if got.merges == 0 || got.hits <= got.nodes {
+		t.Errorf("hits/nodes/merges %d/%d/%d: the study's later rounds must be served mostly from the DAG, through merges",
+			got.hits, got.nodes, got.merges)
+	}
+}
+
 // TestTrieHitAllocatesNothing: a deployment whose schedule the trie
 // already stores is served through trieSource.NextInterval without an
 // allocation, and under the read lock only.
 func TestTrieHitAllocatesNothing(t *testing.T) {
 	s := newDeploySuite(t, 15)
 	g := s.ctrls[0]
-	_, sched, err := s.liveSchedule(g, 0, DeployOptions{})
+	_, live, err := s.liveSchedule(g, 0, DeployOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched := live.steps
 	if _, err := DeployWithOptions(g, s.traces[0], s.tel[0], s.cfg, s.pm, DeployOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +354,7 @@ func TestTrieHitAllocatesNothing(t *testing.T) {
 	src := deployTape(s.traces[0], s.cfg).trie(g.Interval, s.tel[0].Intervals()/k*k).source()
 	defer src.close()
 	walk := func() {
-		src.n, src.depth, src.cp, src.since = &src.t.root, 0, nil, src.since[:0]
+		src.n, src.depth = &src.t.root, 0
 		for _, st := range sched {
 			if v, _ := src.NextInterval(0, st.mode, st.derate); v == nil {
 				t.Fatal("the trie ran dry inside a stored schedule")

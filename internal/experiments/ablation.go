@@ -46,8 +46,8 @@ func Ablations(e *Env) ([]AblationRow, error) {
 		return nil
 	}
 
-	in := e.buildInputs(0.9)
-	ref, err := core.BuildBestRF(in)
+	// The general Best RF is shared read-only; the variants below copy it.
+	ref, err := e.GeneralBestRF()
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func Ablations(e *Env) ([]AblationRow, error) {
 	}
 
 	// Fixed threshold.
-	rawIn := in
+	rawIn := e.buildInputs(0.9)
 	rawIn.NoCalibration = true
 	rawG, err := core.BuildBestRF(rawIn)
 	if err != nil {

@@ -59,6 +59,9 @@ type Tape struct {
 	codes []uint16
 	words []uint64
 	warm  *snapshot
+	// start is the dynamic index of word 0: the instructions the warm
+	// snapshot stands for, 0 without one.
+	start uint64
 	held  *heldBytes
 }
 
@@ -114,6 +117,7 @@ func RecordTape(cfg Config, src Source, warmup int) *Tape {
 		}
 		t.warm = c.snapshot()
 		t.warm.warmup = warmup
+		t.start = c.idx
 	}
 	words := make([]uint64, recordBatch)
 	index := make(map[uint64]uint16)
@@ -366,48 +370,6 @@ func (r *Runner) Next() (Events, int) {
 	d := cur.Sub(r.prev)
 	r.prev = cur
 	return d, n
-}
-
-// Checkpoint is a tape runner's state between two intervals: its core's
-// timing state, the mode and DRAM derate in effect, its tape position and
-// the cumulative Events its next delta is taken against. A runner resumed
-// from it reports exactly the intervals the checkpointed runner would have
-// gone on to report under the same schedule. A Checkpoint is immutable and
-// can be resumed any number of times, concurrently.
-type Checkpoint struct {
-	tape     *Tape
-	snap     *snapshot
-	mode     Mode
-	derate   float64
-	interval int
-	pos      int
-	prev     Events
-}
-
-// Checkpoint captures the runner's state. Only tape runners can be
-// checkpointed.
-func (r *Runner) Checkpoint() *Checkpoint {
-	if r.tape == nil {
-		panic("uarch: only a tape runner can be checkpointed")
-	}
-	return &Checkpoint{
-		tape: r.tape, snap: r.c.snapshot(),
-		mode: r.c.mode, derate: r.c.hier.derate,
-		interval: r.interval, pos: r.pos, prev: r.prev,
-	}
-}
-
-// Size returns the memory the checkpoint holds.
-func (cp *Checkpoint) Size() int { return int(unsafe.Sizeof(*cp)) + cp.snap.size() }
-
-// Resume returns a runner that continues from the checkpoint on a fresh
-// timing core, replaying the checkpointed runner's tape.
-func (cp *Checkpoint) Resume() *Runner {
-	tapeReplays.Inc()
-	r := &Runner{c: newTimingCore(cp.tape.cfg, cp.mode), interval: cp.interval, tape: cp.tape, pos: cp.pos, prev: cp.prev}
-	r.c.restore(cp.snap)
-	r.c.SetMemDerate(cp.derate)
-	return r
 }
 
 // SetMode switches the core's cluster configuration (see Core.SetMode).

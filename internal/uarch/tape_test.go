@@ -3,12 +3,12 @@ package uarch
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
-	"unsafe"
 
 	"clustergate/internal/trace"
 )
@@ -269,19 +269,31 @@ func TestTapeRunnerMatchesLiveRunner(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeMatchesRunner checks runner checkpoints: a runner
-// resumed from a checkpoint taken after any interval reports, under the
-// same mode and derate schedule, exactly the intervals the checkpointed
-// runner went on to report, whatever mode and derate were in effect when
-// it was taken. A checkpoint codes its timing state smaller than the
-// state itself.
+// maxCheckpointBytes bounds a checkpoint of the test's runners: a small
+// fraction of the ~12 KB timing state plus the live port slots it encodes.
+const maxCheckpointBytes = 2_048
+
+// TestCheckpointResumeMatchesRunner checks runner checkpoints, the
+// canonical shift-free encoding of a runner's state between intervals:
+//
+//   - a runner resumed from the checkpoint taken after any interval
+//     reports, under the same mode and derate schedule, exactly the
+//     intervals the checkpointed runner went on to report, whatever mode
+//     and derate were in effect when it was taken, and the checkpoint
+//     holds at most maxCheckpointBytes;
+//   - two runners whose schedules converge (a DRAM-derate burst that has
+//     ended, a low-power interval followed by high-performance ones)
+//     reach equal encodings, and either one's checkpoint resumes into the
+//     other's future deltas;
+//   - perturbing any value the future reads changes the bytes, and
+//     perturbing what it cannot read does not.
 func TestCheckpointResumeMatchesRunner(t *testing.T) {
 	cfg := DefaultConfig()
 	tr := &trace.Trace{App: trace.NewApplication(5, "checkpoint", 4), Seed: 2, NumInstrs: 95_000}
 	const warmup, interval = 20_000, 5_000
 	tape := RecordTape(cfg, trace.NewStream(tr), warmup)
-	schedule := func(i int) (Mode, float64) { return Mode(i / 2 % 2), float64(1 + i%3) }
-	run := func(r *Runner, from int) (deltas []Events, cps []*Checkpoint) {
+	type sched func(i int) (Mode, float64)
+	run := func(r *Runner, from int, schedule sched) (deltas []Events, cps []Checkpoint) {
 		for i := from; ; i++ {
 			m, f := schedule(i)
 			r.SetMode(m)
@@ -291,23 +303,153 @@ func TestCheckpointResumeMatchesRunner(t *testing.T) {
 				return deltas, cps
 			}
 			deltas = append(deltas, d)
-			cps = append(cps, r.Checkpoint())
+			cps = append(cps, Checkpoint(r.AppendCheckpoint(nil)))
 		}
 	}
-	want, cps := run(tape.Runner(ModeHighPerf, warmup, interval), 0)
-	if len(want) < 10 {
-		t.Fatalf("%d intervals, want at least 10", len(want))
-	}
-	for i, cp := range cps {
-		got, _ := run(cp.Resume(), i+1)
-		if !slices.Equal(got, want[i+1:]) {
-			t.Fatalf("resumed after interval %d: deltas differ from the uninterrupted runner", i)
+
+	t.Run("resume", func(t *testing.T) {
+		schedule := func(i int) (Mode, float64) { return Mode(i / 2 % 2), float64(1 + i%3) }
+		want, cps := run(tape.Runner(ModeHighPerf, warmup, interval), 0, schedule)
+		if len(want) < 10 {
+			t.Fatalf("%d intervals, want at least 10", len(want))
 		}
-		if size := cp.snap.size(); size >= int(unsafe.Sizeof(timingState{})) {
-			t.Errorf("checkpoint after interval %d holds %d bytes of timing state, no less than the %d-byte struct",
-				i, size, unsafe.Sizeof(timingState{}))
+		for i, cp := range cps {
+			got, again := run(tape.Resume(cp, interval), i+1, schedule)
+			if !slices.Equal(got, want[i+1:]) || !slices.Equal(again, cps[i+1:]) {
+				t.Fatalf("resumed after interval %d: deltas or checkpoints differ from the uninterrupted runner", i)
+			}
+			if len(cp) > maxCheckpointBytes {
+				t.Errorf("checkpoint after interval %d holds %d bytes, more than %d", i, len(cp), maxCheckpointBytes)
+			}
 		}
-	}
+	})
+
+	t.Run("converge", func(t *testing.T) {
+		nominal := func(int) (Mode, float64) { return ModeHighPerf, 1 }
+		want, wantCPs := run(tape.Runner(ModeHighPerf, warmup, interval), 0, nominal)
+		// check runs a schedule that leaves the nominal one in intervals
+		// [first, last] and reports whether its encoding meets the
+		// nominal runner's within two intervals after last; if so, the two
+		// must stay together, and each checkpoint must resume into the
+		// other runner's deltas.
+		check := func(name string, first, last int, off func() (Mode, float64)) bool {
+			schedule := func(i int) (Mode, float64) {
+				if first <= i && i <= last {
+					return off()
+				}
+				return nominal(i)
+			}
+			got, cps := run(tape.Runner(ModeHighPerf, warmup, interval), 0, schedule)
+			if got[last] == want[last] {
+				t.Fatalf("%s: interval %d is the same as on the nominal schedule; the schedule changes nothing", name, last)
+			}
+			d := last + 1
+			for d <= last+2 && cps[d] != wantCPs[d] {
+				d++
+			}
+			if d > last+2 {
+				return false
+			}
+			for i := d + 1; i < len(cps); i++ {
+				if cps[i] != wantCPs[i] || got[i] != want[i] {
+					t.Fatalf("%s: after meeting at interval %d the runners part again at %d", name, d, i)
+				}
+			}
+			if a, _ := run(tape.Resume(cps[d], interval), d+1, nominal); !slices.Equal(a, want[d+1:]) {
+				t.Fatalf("%s: its checkpoint after interval %d does not resume into the nominal runner's deltas", name, d)
+			}
+			if b, _ := run(tape.Resume(wantCPs[d], interval), d+1, schedule); !slices.Equal(b, got[d+1:]) {
+				t.Fatalf("%s: the nominal checkpoint after interval %d does not resume into its deltas", name, d)
+			}
+			return true
+		}
+		if !check("derate-burst", 2, 3, func() (Mode, float64) { return ModeHighPerf, 6 }) {
+			t.Error("a two-interval DRAM-derate burst's encoding does not meet the nominal one within two intervals of its end")
+		}
+		// A low-power interval leaves the steering toggle where it was, so
+		// the two histories converge only if the nominal runner toggled it
+		// an even number of times meanwhile: some start must converge.
+		met := false
+		for p := 1; p < 8 && !met; p++ {
+			met = check(fmt.Sprintf("low-power@%d", p), p, p, func() (Mode, float64) { return ModeLowPower, 1 })
+		}
+		if !met {
+			t.Error("no single low-power interval's encoding meets the nominal one within two intervals")
+		}
+	})
+
+	t.Run("perturb", func(t *testing.T) {
+		_, cps := run(tape.Runner(ModeHighPerf, warmup, interval), 0, func(i int) (Mode, float64) { return Mode(i % 2), 1 })
+		cp := cps[len(cps)/2]
+		for _, tc := range []struct {
+			name    string
+			reads   bool // whether the future reads the perturbed value
+			perturb func(c *Core) bool
+		}{
+			{"recent-completion", true, func(c *Core) bool {
+				for i, v := range c.comp {
+					if v+clockFloor >= c.fc {
+						c.comp[i]++
+						return true
+					}
+				}
+				return false
+			}},
+			{"live-slot-counts", true, func(c *Core) bool {
+				for i := c.fc; i <= c.retireMax; i++ {
+					if v := c.slots[i&(slotWindow-1)]; v != slotVirgin && v>>slotEpochShift == i/slotWindow {
+						c.slots[i&(slotWindow-1)] = v + 1<<slotStoresShift
+						return true
+					}
+				}
+				return false
+			}},
+			{"retire-max", true, func(c *Core) bool { c.retireMax++; return true }},
+			{"fetched-in-fc", true, func(c *Core) bool { c.fetchedInFC++; return true }},
+			{"queue-counter-below-depth", true, func(c *Core) bool {
+				c.lqCount[1] = c.cc.lq - 2
+				return true
+			}},
+			{"cluster-ring", true, func(c *Core) bool { c.cluster[77] ^= 1; return true }},
+			{"old-completion", false, func(c *Core) bool {
+				for i, v := range c.comp {
+					if v+clockFloor <= c.fc {
+						c.comp[i] = v - 100
+						return true
+					}
+				}
+				return false
+			}},
+			{"queue-counter-above-depth", false, func(c *Core) bool {
+				// Rotate the ring with the counter: only the offsets
+				// behind the counter are read.
+				ring := c.sqDrain[0]
+				for k := range uint64(sqRingLen) {
+					c.sqDrain[0][(c.sqCount[0]+5+k)&(sqRingLen-1)] = ring[(c.sqCount[0]+k)&(sqRingLen-1)]
+				}
+				c.sqCount[0] += 5
+				return true
+			}},
+			{"dram-derate", false, func(c *Core) bool { c.SetMemDerate(4); return true }},
+			{"events", false, func(c *Core) bool { c.ev.BusyCycles += 9; return true }},
+		} {
+			r := tape.Resume(cp, interval)
+			if !tc.perturb(r.c) {
+				t.Fatalf("%s: the checkpoint's state has no value to perturb", tc.name)
+			}
+			if changed := Checkpoint(r.AppendCheckpoint(nil)) != cp; changed != tc.reads {
+				t.Errorf("%s: perturbing it changed the encoding %v, want %v", tc.name, changed, tc.reads)
+			}
+		}
+		// The counter below its depth: two such counters encode apart.
+		r := tape.Resume(cp, interval)
+		r.c.lqCount[1] = r.c.cc.lq - 2
+		below := Checkpoint(r.AppendCheckpoint(nil))
+		r.c.lqCount[1]++
+		if Checkpoint(r.AppendCheckpoint(nil)) == below {
+			t.Error("load-queue counters one apart below the depth encode alike")
+		}
+	})
 }
 
 // fullScanLive is the snapshot's live-slot selection over the whole ring,

@@ -16,6 +16,25 @@ go vet ./...
 # it compiles the benchmark against the internal packages it imports.
 go vet -C perfbench ./...
 
+echo "== perfbench smoke runs (study, replay, fleet; 1 s each)"
+# Each workload's verify re-checks its measured rounds: study redeploys
+# round 0 after the deployment DAG served every later round and requires
+# DeepEqual results, replay compares its deployments with the exact path.
+# The build lands in the git-ignored .bench_build/. The last line of each
+# run must report a correct run with no failed operation.
+for w in study replay fleet; do
+    line=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 | tail -n 1)
+    echo "$w: $line"
+    case "$line" in
+    *'"correct":true'*) ;;
+    *) echo "perfbench $w: not a correct run" >&2; exit 1 ;;
+    esac
+    case "$line" in
+    *'"failed":0'[,}]*) ;;
+    *) echo "perfbench $w: failed operations" >&2; exit 1 ;;
+    esac
+done
+
 echo "== lintdoc (package + exported-symbol docs)"
 go run scripts/lintdoc.go
 
