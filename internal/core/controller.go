@@ -23,13 +23,29 @@ import (
 )
 
 // Predictor is one mode's adaptation model as seen by the controller: it
-// scores a prediction window, receiving both the aggregated counter vector
-// and the per-interval vectors (histogram models use the latter). The
-// deployment refills the same vectors for every window, so ScoreWindow
-// must not keep agg, perInterval or its vectors after it returns.
+// scores a prediction window, receiving the aggregated counter vector and
+// the per-interval vectors (histogram models use the latter), of which it
+// declares the ones it reads. The deployment computes only those, and
+// passes nil for the other. It refills the same vectors for every window,
+// so ScoreWindow must not keep agg, perInterval or its vectors after it
+// returns.
 type Predictor interface {
 	ScoreWindow(agg []float64, perInterval [][]float64) float64
+	// Reads reports which of ScoreWindow's vectors the model reads. It
+	// must not change over a deployment.
+	Reads() Inputs
 }
+
+// Inputs is a set of the window vectors a Predictor reads.
+type Inputs uint8
+
+// The window vectors: the window's aggregate snapshot and one snapshot
+// per interval.
+const (
+	ReadsAggregate Inputs = 1 << iota
+	ReadsPerInterval
+	ReadsBoth = ReadsAggregate | ReadsPerInterval
+)
 
 // PointPredictor adapts any point model (MLP, RF, LR, SVM, or their
 // firmware wrappers) to the window interface using the aggregate vector.
@@ -42,6 +58,9 @@ func (p PointPredictor) ScoreWindow(agg []float64, _ [][]float64) float64 {
 	return p.M.Score(agg)
 }
 
+// Reads reports that a point model reads the aggregate only.
+func (PointPredictor) Reads() Inputs { return ReadsAggregate }
+
 // WindowPredictor adapts a window-consuming model such as SRCH.
 type WindowPredictor struct {
 	M interface{ ScoreWindow([][]float64) float64 }
@@ -51,6 +70,9 @@ type WindowPredictor struct {
 func (p WindowPredictor) ScoreWindow(_ []float64, win [][]float64) float64 {
 	return p.M.ScoreWindow(win)
 }
+
+// Reads reports that a window model reads the per-interval vectors only.
+func (WindowPredictor) Reads() Inputs { return ReadsPerInterval }
 
 // GatingController is a deployed adaptation configuration: the per-mode
 // model pair (Section 4.1 trains one model on each mode's telemetry), their
@@ -117,23 +139,51 @@ type windowBuf struct {
 // fill converts a window of base-signal deltas into the model's input
 // space through the controller's projection (Counters projected onto
 // Columns): the normalised aggregate vector and per-interval vectors,
-// written into b's vectors, which the next call overwrites.
-func (b *windowBuf) fill(proj *telemetry.Projection, window [][]float64, rng *rand.Rand) (agg []float64, per [][]float64) {
-	b.sum = telemetry.AggregateInto(b.sum, window)
-	b.agg = proj.SnapshotInto(b.agg, b.sum, true, rng)
-	if len(b.per) != len(window) {
-		// The per-interval vectors share one allocation.
-		w := len(b.agg)
-		all := make([]float64, len(window)*w)
-		b.per = make([][]float64, len(window))
-		for i := range b.per {
-			b.per[i] = all[i*w : (i+1)*w : (i+1)*w]
+// written into b's vectors, which the next call overwrites. It computes
+// only the vectors reads names and returns nil for the other, unless the
+// projection draws noise: then it computes both, in the full expansion's
+// order, so that the noise stream does not depend on what the model
+// reads. n is the number of snapshots it took.
+func (b *windowBuf) fill(proj *telemetry.Projection, window [][]float64, rng *rand.Rand, reads Inputs) (agg []float64, per [][]float64, n int) {
+	compute := reads
+	if proj.DrawsNoise() {
+		compute = ReadsBoth
+	}
+	if compute&ReadsAggregate != 0 {
+		b.sum = proj.AggregateInto(b.sum, window)
+		b.agg = proj.SnapshotInto(b.agg, b.sum, true, rng)
+		n++
+	}
+	if compute&ReadsPerInterval != 0 {
+		if len(b.per) != len(window) {
+			// The per-interval vectors share one allocation.
+			w := proj.Width()
+			all := make([]float64, len(window)*w)
+			b.per = make([][]float64, len(window))
+			for i := range b.per {
+				b.per[i] = all[i*w : (i+1)*w : (i+1)*w]
+			}
 		}
+		for i, base := range window {
+			b.per[i] = proj.SnapshotInto(b.per[i], base, true, rng)
+		}
+		n += len(window)
 	}
-	for i, base := range window {
-		b.per[i] = proj.SnapshotInto(b.per[i], base, true, rng)
+	if reads&ReadsAggregate != 0 {
+		agg = b.agg
 	}
-	return b.agg, b.per
+	if reads&ReadsPerInterval != 0 {
+		per = b.per
+	}
+	return agg, per, n
+}
+
+// reads returns what the model for mode reads.
+func (g *GatingController) reads(mode uarch.Mode) Inputs {
+	if mode == uarch.ModeLowPower {
+		return g.LowPower.Reads()
+	}
+	return g.HighPerf.Reads()
 }
 
 // decide runs the mode-appropriate model on a window and applies its

@@ -72,7 +72,7 @@ func TestWindowVectorsColumnSelection(t *testing.T) {
 	base2[0], base2[16], base2[telemetry.NumBase-1] = 300, 10_000, 5_000
 
 	var vecs windowBuf
-	agg, per := vecs.fill(g.Counters.Project(g.Columns), [][]float64{base1, base2}, rng)
+	agg, per, _ := vecs.fill(g.Counters.Project(g.Columns), [][]float64{base1, base2}, rng, ReadsBoth)
 	if len(agg) != 2 || len(per) != 2 || len(per[0]) != 2 {
 		t.Fatalf("vector shapes: agg=%d per=%dx%d", len(agg), len(per), len(per[0]))
 	}
@@ -106,11 +106,15 @@ func TestDecideUsesModeSpecificModelAndThreshold(t *testing.T) {
 
 // recordingPredictor keeps a copy of every window it scores, alternating
 // its answer so the deployment switches modes. It copies because the
-// deployment refills the vectors it passes for the next window.
+// deployment refills the vectors it passes for the next window. It
+// declares that it reads the vectors in reads, and keeps what it is given.
 type recordingPredictor struct {
-	agg [][]float64
-	per [][][]float64
+	reads Inputs
+	agg   [][]float64
+	per   [][][]float64
 }
+
+func (p *recordingPredictor) Reads() Inputs { return p.reads }
 
 func (p *recordingPredictor) ScoreWindow(agg []float64, per [][]float64) float64 {
 	p.agg = append(p.agg, slices.Clone(agg))
@@ -122,15 +126,22 @@ func (p *recordingPredictor) ScoreWindow(agg []float64, per [][]float64) float64
 	return float64(len(p.agg) % 2)
 }
 
-// scriptedSource serves pre-made intervals in order, whatever the mode,
-// with no plausibility verdict.
-type scriptedSource struct{ bases [][]float64 }
+// scriptedSource serves pre-made intervals in order, whatever the mode.
+type scriptedSource struct{ ivs []StoredInterval }
 
-func (s *scriptedSource) NextInterval(gidx int, _ uarch.Mode, _ float64) ([]float64, bool) {
-	if gidx >= len(s.bases) {
-		return nil, false
+func newScriptedSource(bases [][]float64) *scriptedSource {
+	s := &scriptedSource{}
+	for _, b := range bases {
+		s.ivs = append(s.ivs, NewStoredInterval(b))
 	}
-	return s.bases[gidx], false
+	return s
+}
+
+func (s *scriptedSource) NextInterval(gidx int, _ uarch.Mode, _ float64) *StoredInterval {
+	if gidx >= len(s.ivs) {
+		return nil
+	}
+	return &s.ivs[gidx]
 }
 
 // TestDeploySnapshotsMatchFullExpansion holds the deployment's projected
@@ -140,8 +151,14 @@ func (s *scriptedSource) NextInterval(gidx int, _ uarch.Mode, _ float64) ([]floa
 // decision order, gathered to the controller's columns. The columns
 // include a noisy and a debug counter, which read that stream, and a
 // repeated base counter; a Table-4 controller, which reads no noise,
-// must get the same values with no stream at all. Both add their
-// snapshots to the telemetry counters once per deployment.
+// must get the same values with no stream at all. Each column set is
+// deployed by a predictor that reads both window vectors and by a point
+// model, which reads the aggregate only and gets no per-interval
+// vectors. The deployment takes only the snapshots its model reads, one
+// per window for the point model on Table 4, unless the projection draws
+// noise: then it takes all k+1 per window, so the stream does not depend
+// on the model. Each deployment adds its snapshots to the telemetry
+// counters once.
 func TestDeploySnapshotsMatchFullExpansion(t *testing.T) {
 	cs := telemetry.NewStandardCounterSet()
 	noisyCols, err := ColumnsByName(cs, []string{"l2_misses_smp0", "instructions", "debug_042", "stall_count", "instructions"})
@@ -176,12 +193,19 @@ func TestDeploySnapshotsMatchFullExpansion(t *testing.T) {
 	noisy := obs.NewCounter("telemetry.snapshots.noisy")
 
 	for _, tc := range []struct {
-		name  string
-		cols  []int
-		draws bool
-	}{{"noisy+debug", noisyCols, true}, {"table4", table4, false}} {
+		name          string
+		cols          []int
+		draws         bool
+		reads         Inputs
+		perWindowSnap int
+	}{
+		{"noisy+debug", noisyCols, true, ReadsBoth, k + 1},
+		{"table4", table4, false, ReadsBoth, k + 1},
+		{"noisy+debug/point", noisyCols, true, ReadsAggregate, k + 1},
+		{"table4/point", table4, false, ReadsAggregate, 1},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &recordingPredictor{}
+			p := &recordingPredictor{reads: tc.reads}
 			g := &GatingController{
 				Name: tc.name, HighPerf: p, LowPower: p,
 				ThresholdHigh: 0.5, ThresholdLow: 0.5,
@@ -190,7 +214,7 @@ func TestDeploySnapshotsMatchFullExpansion(t *testing.T) {
 			}
 			taken, drew := snapshots.Value(), noisy.Value()
 			res, err := DeployFrom(g, tr, ref, power.DefaultModel(), DeployOptions{},
-				func() IntervalSource { return &scriptedSource{bases: bases} })
+				func() IntervalSource { return newScriptedSource(bases) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,14 +236,17 @@ func TestDeploySnapshotsMatchFullExpansion(t *testing.T) {
 				if !bitsEqual(p.agg[w], want) {
 					t.Fatalf("window %d aggregate = %v, want %v", w, p.agg[w], want)
 				}
+				if tc.reads&ReadsPerInterval == 0 && len(p.per[w]) != 0 {
+					t.Fatalf("window %d: a point model got %d per-interval vectors", w, len(p.per[w]))
+				}
 				for i, b := range window {
 					want := gather(cs.Snapshot(b, true, rng))
-					if !bitsEqual(p.per[w][i], want) {
+					if tc.reads&ReadsPerInterval != 0 && !bitsEqual(p.per[w][i], want) {
 						t.Fatalf("window %d interval %d = %v, want %v", w, i, p.per[w][i], want)
 					}
 				}
 			}
-			wantTaken := int64(windows * (k + 1))
+			wantTaken := int64(windows * tc.perWindowSnap)
 			wantDrew := int64(0)
 			if tc.draws {
 				wantDrew = wantTaken

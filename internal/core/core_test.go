@@ -152,6 +152,10 @@ func (s scriptedPredictor) ScoreWindow(agg []float64, per [][]float64) float64 {
 	return float64(s)
 }
 
+// Reads declares the aggregate, as a point model does, though the score
+// reads neither vector.
+func (scriptedPredictor) Reads() Inputs { return ReadsAggregate }
+
 func scriptedController(e *testEnv, score float64) *GatingController {
 	return &GatingController{
 		Name:     "scripted",

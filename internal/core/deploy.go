@@ -38,34 +38,58 @@ var (
 
 // IntervalSource supplies a closed-loop deployment with its intervals, in
 // order. Given the global interval index, the mode in effect and the DRAM
-// derate factor for the interval, NextInterval returns the interval's
-// base-signal vector (the telemetry.ExtractBase layout), or nil once the
-// trace runs dry. The exact source returns the vector its trace's
-// deployment trie stores, simulating it on the cycle model first if no
-// earlier deployment did; the surrogate package returns the estimate its
-// recording's table stores, computing it from the recorded fixed-mode
-// telemetry first if no earlier deployment did. Implementations must be
-// deterministic. The returned vectors are read-only: the deployment only
-// reads them, and the source must leave them unchanged until the
-// deployment ends, so both sources hand out their stored vectors, shared
-// with every other deployment, without copying them.
-//
-// NextInterval also reports whether the vector passed
-// telemetry.ImplausibleVector when the source stored it, so that the
-// guardrail runs only the freeze comparison on an unfaulted interval. A
-// source that did not check returns false, and the guardrail checks the
-// vector in full.
+// derate factor for the interval, NextInterval returns the interval as the
+// source stores it, or nil once the trace runs dry. The exact source
+// returns the interval its trace's deployment trie stores, simulating it
+// on the cycle model first if no earlier deployment did; the surrogate
+// package returns the estimate its recording's table stores, computing it
+// from the recorded fixed-mode telemetry first if no earlier deployment
+// did. Implementations must be deterministic. The returned intervals are
+// read-only: the deployment only reads them, and the source must leave
+// them unchanged until the deployment ends, so both sources hand out their
+// stored intervals, shared with every other deployment, without copying
+// them.
 type IntervalSource interface {
-	NextInterval(gidx int, mode uarch.Mode, derate float64) (base []float64, plausible bool)
+	NextInterval(gidx int, mode uarch.Mode, derate float64) *StoredInterval
+}
+
+// StoredInterval is one interval as a source stores it, with what the
+// decision loop needs of its vector taken once: the plausibility verdict,
+// so that the guardrail runs only the freeze comparison on an unfaulted
+// interval, and the power activity, so that power accounting does not
+// convert the vector back to events.
+type StoredInterval struct {
+	// Base is the interval's base-signal vector (the
+	// telemetry.ExtractBase layout).
+	Base []float64
+	// Plausible reports that Base passed telemetry.ImplausibleVector. A
+	// source that did not check reports false, and the guardrail checks
+	// the vector in full.
+	Plausible bool
+	// Activity is what the power model weighs of Base, read as
+	// telemetry.BaseToEvents reads it.
+	Activity power.Activity
+}
+
+// NewStoredInterval returns base, which the caller hands over, as a source
+// stores it: with its plausibility verdict and its power activity.
+func NewStoredInterval(base []float64) StoredInterval {
+	var ev uarch.Events
+	telemetry.BaseToEvents(base, &ev)
+	return StoredInterval{Base: base, Plausible: telemetry.ImplausibleVector(base) == "", Activity: power.ActivityOf(&ev)}
 }
 
 // DeployWithOptions runs the controller closed-loop over one trace on the
 // exact cycle model (see DeployFrom). The cycle model replays the trace's
 // deployment tape (deployTape), so only the first deployment of a trace
-// generates and probes it, and the tape's trie of deployed intervals
-// (deployTrie) serves every schedule prefix an earlier deployment of the
-// same length already simulated; results are identical to executing the
-// trace live.
+// generates and probes it. The tape's deployment DAG (deployTrie) serves
+// every interval an earlier deployment of the same length already
+// simulated: a node is a shift-free machine state, an edge one (mode,
+// DRAM derate) step from it, so a deployment reads each step it shares
+// with an earlier one from the edge, and simulates only a new step, from
+// its own node's checkpoint; the new edge joins the node whose checkpoint
+// bytes equal its end state's, if one exists. Results are identical to
+// executing the trace live.
 func DeployWithOptions(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetry,
 	cfg dataset.Config, pm *power.Model, opts DeployOptions) (*GuardedDeploymentResult, error) {
 	var src *trieSource
@@ -178,7 +202,10 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 		gr.defaults()
 		state = &guardrailState{cfg: gr}
 	}
-	ti := opts.Injector.ForTrace(tr.Seed)
+	// An observed vector is read only within its window and as the next
+	// interval's prevObserved: k+1 intervals' vectors at most, so the
+	// fault view keeps that many glitched ones.
+	ti := opts.Injector.ForTrace(tr.Seed, k+1)
 
 	// Flight recorder + event log: only active when the process has an
 	// event log installed (-events), so ordinary runs pay a single atomic
@@ -199,6 +226,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 	res := &GuardedDeploymentResult{}
 	// The controller reads only its columns; the noise stream has no
 	// other reader, so it is seeded only when a selected counter draws.
+	// The set builds the columns' projection once, for every deployment.
 	proj := g.Counters.Project(g.Columns)
 	var rng *rand.Rand
 	if proj.DrawsNoise() {
@@ -217,8 +245,6 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 	window := make([][]float64, 0, k)
 	var vecs windowBuf
 	var prevTrue, prevObserved []float64
-	// ev is the current interval's true events, converted in place.
-	var ev uarch.Events
 	lowIntervals, totalIntervals := 0, 0
 	// pending[w] is the mode decided for window w, two windows ahead. Every
 	// window from 2 on has one: the loop stops at the first short window,
@@ -259,10 +285,11 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			if ti != nil {
 				derate = ti.MemDerate(gidx)
 			}
-			trueBase, plausible := src.NextInterval(gidx, mode, derate)
-			if trueBase == nil {
+			iv := src.NextInterval(gidx, mode, derate)
+			if iv == nil {
 				break
 			}
+			trueBase, plausible := iv.Base, iv.Plausible
 			observed := trueBase
 			if ti != nil {
 				o, faulted, dropped := ti.Telemetry(gidx, trueBase, prevTrue)
@@ -278,8 +305,7 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			window = append(window, observed)
 			// Power accounting always follows true execution: faults
 			// corrupt the telemetry fabric, not the pipeline.
-			telemetry.BaseToEvents(trueBase, &ev)
-			res.Adaptive.Add(pm, &ev, mode)
+			res.Adaptive.AddActivity(pm, &iv.Activity, mode)
 			gated := mode == uarch.ModeLowPower
 			if gated {
 				lowIntervals++
@@ -291,10 +317,10 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 			if flight != nil {
 				sample := obs.FlightSample{
 					T:     int64(gidx),
-					Power: pm.Energy(&ev, mode),
+					Power: pm.ActivityEnergy(&iv.Activity, mode),
 				}
-				if ev.Cycles > 0 {
-					sample.IPC = float64(ev.Instrs) / float64(ev.Cycles)
+				if a := &iv.Activity; a.Cycles > 0 {
+					sample.IPC = float64(a.Instrs) / float64(a.Cycles)
 				}
 				if derate != 1 {
 					sample.MemDerate = derate
@@ -340,8 +366,8 @@ func DeployFrom(g *GatingController, tr *trace.Trace, ref *dataset.TraceTelemetr
 
 		// Predict for window w+2 from window w's observed telemetry.
 		if w+2 < nWindows {
-			agg, per := vecs.fill(proj, window, rng)
-			snapshots += 1 + len(per)
+			agg, per, n := vecs.fill(proj, window, rng, g.reads(mode))
+			snapshots += n
 			pred := g.decide(mode, agg, per)
 			if ti != nil {
 				if windowDropped {

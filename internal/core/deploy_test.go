@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"clustergate/internal/dataset"
 	"clustergate/internal/fault"
@@ -28,6 +30,8 @@ func (telemetryHashPredictor) ScoreWindow(agg []float64, _ [][]float64) float64 
 	}
 	return math.Mod(math.Abs(s)*1e4, 1)
 }
+
+func (telemetryHashPredictor) Reads() Inputs { return ReadsAggregate }
 
 // deploySuite is a small self-contained deployment set-up: a few short
 // SPEC traces with their fixed-mode telemetry.
@@ -97,18 +101,18 @@ type runnerSource struct {
 	cps   []uarch.Checkpoint // the runner's checkpoint after each interval
 }
 
-// NextInterval executes the next interval in mode under derate; it
-// leaves the plausibility check to the guardrail.
-func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]float64, bool) {
+// NextInterval executes the next interval in mode under derate.
+func (s *runnerSource) NextInterval(_ int, mode uarch.Mode, derate float64) *StoredInterval {
 	s.r.SetMode(mode)
 	s.r.SetMemDerate(derate)
 	delta, n := s.r.Next()
 	if n == 0 {
-		return nil, false
+		return nil
 	}
 	s.steps = append(s.steps, step{mode, derate})
 	s.cps = append(s.cps, uarch.Checkpoint(s.r.AppendCheckpoint(nil)))
-	return telemetry.ExtractBase(delta), false
+	iv := NewStoredInterval(telemetry.ExtractBase(delta))
+	return &iv
 }
 
 // liveDeploy deploys through the same decision loop over a live runner,
@@ -252,19 +256,24 @@ func TestDeployTapeFollowsConfig(t *testing.T) {
 }
 
 // keptSource hands out its inner source's vectors and logs each one with
-// a copy taken as it is handed out.
+// a copy taken as it is handed out, and, if modes is set, the mode it ran
+// in.
 type keptSource struct {
 	inner     IntervalSource
 	out, kept *[][]float64
+	modes     *[]uarch.Mode
 }
 
-func (s *keptSource) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
-	v, plausible := s.inner.NextInterval(gidx, mode, derate)
-	if v != nil {
-		*s.out = append(*s.out, v)
-		*s.kept = append(*s.kept, slices.Clone(v))
+func (s *keptSource) NextInterval(gidx int, mode uarch.Mode, derate float64) *StoredInterval {
+	iv := s.inner.NextInterval(gidx, mode, derate)
+	if iv != nil {
+		*s.out = append(*s.out, iv.Base)
+		*s.kept = append(*s.kept, slices.Clone(iv.Base))
+		if s.modes != nil {
+			*s.modes = append(*s.modes, mode)
+		}
 	}
-	return v, plausible
+	return iv
 }
 
 // TestDeployLeavesSourceVectorsUnchanged holds DeployFrom to the
@@ -318,55 +327,83 @@ func TestDeployLeavesSourceVectorsUnchanged(t *testing.T) {
 	}
 
 	// The injector hands out vectors it does not copy either: every drop
-	// reads its view's one zero vector, and a freeze re-reads a source
-	// vector. A controller over the 40 base signals sees each observed
-	// vector verbatim (per cycle), so it must see what the trace's fault
-	// view gives when replayed over copies of the handed-out vectors: zeros
-	// at every drop, however many drops came before, and the latched copy
-	// at every freeze.
+	// reads its view's one zero vector, a freeze re-reads a source vector
+	// and a glitch writes into the view's ring of buffers. A controller
+	// over the 40 base signals sees each observed vector verbatim (per
+	// cycle), so, at one and at two intervals a window, it must see what
+	// the trace's fault view gives when replayed over copies of the
+	// handed-out vectors, one interval at a time: zeros at every drop,
+	// however many drops came before, the latched copy at every freeze,
+	// and each glitched vector of a window intact when the window is
+	// scored. The guardrail, which compares each observed vector with the
+	// one before, must trip as often as it does over the replayed vectors.
+	// The replay reads only those two, so its view keeps two glitched
+	// vectors.
 	baseCols, err := ColumnsByName(s.ctrls[0].Counters, telemetry.BaseNames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops, freezes := 0, 0
-	for i, tr := range s.traces {
-		p := &recordingPredictor{}
-		g := *s.ctrls[0]
-		g.Name, g.HighPerf, g.LowPower, g.Columns = "base-signals", p, p, baseCols
-		from := len(out)
-		trie := deployTape(tr, s.cfg).trie(g.Interval, s.tel[i].Intervals()).source()
-		_, err := DeployFrom(&g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
-			return &keptSource{inner: trie, out: &out, kept: &kept}
-		})
-		trie.close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj := g.Counters.Project(baseCols)
-		ti := inj.ForTrace(tr.Seed)
-		copies := map[*float64]bool{}
-		for _, v := range kept[from:] {
-			copies[&v[0]] = true
-		}
-		var prev []float64
-		for j, v := range kept[from:] {
-			o, faulted, dropped := ti.Telemetry(j, v, prev)
-			prev = v
-			if j >= len(p.per) {
-				break // the last two windows decide nothing
+	drops, freezes, glitches := 0, 0, 0
+	for _, c := range s.ctrls[:2] {
+		k := c.Granularity / c.Interval
+		for i, tr := range s.traces {
+			p := &recordingPredictor{reads: ReadsBoth}
+			g := *c
+			g.Name, g.HighPerf, g.LowPower, g.Columns = "base-signals", p, p, baseCols
+			from := len(out)
+			var modes []uarch.Mode
+			trie := deployTape(tr, s.cfg).trie(g.Interval, s.tel[i].Intervals()/k*k).source()
+			res, err := DeployFrom(&g, tr, s.tel[i], s.pm, opts, func() IntervalSource {
+				return &keptSource{inner: trie, out: &out, kept: &kept, modes: &modes}
+			})
+			trie.close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want := proj.Snapshot(o, true, nil); !bitsEqual(p.per[j][0], want) {
-				t.Fatalf("%s interval %d (faulted %v, dropped %v): observed %v, want %v", tr.Name, j, faulted, dropped, p.per[j][0], want)
+			proj := g.Counters.Project(baseCols)
+			ti := inj.ForTrace(tr.Seed, 2)
+			copies := map[*float64]bool{}
+			for _, v := range kept[from:] {
+				copies[&v[0]] = true
 			}
-			if dropped {
-				drops++
-			} else if faulted && copies[&o[0]] {
-				freezes++
+			guard := &guardrailState{cfg: gr}
+			guard.cfg.defaults()
+			var prev, prevObserved []float64
+			for j, v := range kept[from:] {
+				o, faulted, dropped := ti.Telemetry(j, v, prev)
+				prev = v
+				if dropped {
+					guard.noteBlackout()
+				}
+				guard.observeInterval(o, prevObserved, false, modes[j] == uarch.ModeLowPower)
+				guard.tick()
+				prevObserved = o
+				w := j / k
+				if w >= len(p.per) {
+					continue // the last two windows decide nothing
+				}
+				if want := proj.Snapshot(o, true, nil); !bitsEqual(p.per[w][j%k], want) {
+					t.Fatalf("%s, %d intervals a window, interval %d (faulted %v, dropped %v): observed %v, want %v",
+						tr.Name, k, j, faulted, dropped, p.per[w][j%k], want)
+				}
+				switch {
+				case dropped:
+					drops++
+				case faulted && copies[&o[0]]:
+					freezes++
+				case faulted:
+					glitches++
+				}
+			}
+			if guard.trips != res.GuardrailTrips {
+				t.Fatalf("%s, %d intervals a window: the guardrail tripped %d times, %d times over the replayed vectors",
+					tr.Name, k, res.GuardrailTrips, guard.trips)
 			}
 		}
 	}
-	if drops < 2 || freezes == 0 {
-		t.Fatalf("%d dropped and %d frozen intervals observed: the plan must exercise both, drops repeatedly", drops, freezes)
+	if drops < 2 || freezes == 0 || glitches == 0 {
+		t.Fatalf("%d dropped, %d frozen and %d glitched intervals observed: the plan must exercise all three, drops repeatedly",
+			drops, freezes, glitches)
 	}
 	for j, v := range out {
 		for c := range v {
@@ -381,9 +418,14 @@ func TestDeployLeavesSourceVectorsUnchanged(t *testing.T) {
 // plausibility verdicts, so the guardrail checks every interval in full.
 type unknownVerdicts struct{ inner IntervalSource }
 
-func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
-	v, _ := s.inner.NextInterval(gidx, mode, derate)
-	return v, false
+func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) *StoredInterval {
+	iv := s.inner.NextInterval(gidx, mode, derate)
+	if iv == nil {
+		return nil
+	}
+	unknown := *iv
+	unknown.Plausible = false
+	return &unknown
 }
 
 // implausibleTrips counts the guardrail trips on implausible telemetry in
@@ -457,16 +499,32 @@ func TestStoredVerdictsMatchFullCheck(t *testing.T) {
 	checkTrieVerdicts(t, s)
 }
 
+// checkStored reports whether a stored interval's verdict equals the full
+// plausibility check of its vector and its activity the one power
+// accounting takes of the vector's events.
+func checkStored(iv *StoredInterval) error {
+	if want := telemetry.ImplausibleBase(iv.Base, nil) == ""; iv.Plausible != want {
+		return fmt.Errorf("stored verdict %v, the full check gives %v", iv.Plausible, want)
+	}
+	var ev uarch.Events
+	telemetry.BaseToEvents(iv.Base, &ev)
+	if want := power.ActivityOf(&ev); iv.Activity != want {
+		return fmt.Errorf("stored activity %+v, its vector's is %+v", iv.Activity, want)
+	}
+	return nil
+}
+
 // checkTrieVerdicts visits every edge of the suite's deployment tries and
-// requires its stored verdict to equal the full check of its vector.
+// requires each stored interval to carry its own vector's verdict and
+// activity (checkStored).
 func checkTrieVerdicts(t *testing.T, s *deploySuite) {
 	t.Helper()
 	edges := 0
 	check := func(n *trieNode) {
 		for _, e := range n.edges {
 			edges++
-			if want := telemetry.ImplausibleBase(e.base, nil) == ""; e.plausible != want {
-				t.Fatalf("a trie edge stores verdict %v, the full check gives %v", e.plausible, want)
+			if err := checkStored(&e.iv); err != nil {
+				t.Fatalf("a trie edge: %v", err)
 			}
 		}
 	}
@@ -485,5 +543,185 @@ func checkTrieVerdicts(t *testing.T, s *deploySuite) {
 	}
 	if edges == 0 {
 		t.Fatal("the deployments stored no trie edges")
+	}
+}
+
+// readsBoth declares that its predictor reads both window vectors, so the
+// deployment computes every vector, as it did before predictors declared
+// their inputs.
+type readsBoth struct{ Predictor }
+
+func (readsBoth) Reads() Inputs { return ReadsBoth }
+
+// readAllInputs returns g with both models wrapped in readsBoth.
+func readAllInputs(g *GatingController) *GatingController {
+	both := *g
+	both.HighPerf, both.LowPower = readsBoth{g.HighPerf}, readsBoth{g.LowPower}
+	return &both
+}
+
+// windowHashPredictor is a window model: it gates on a hash of the
+// per-interval vectors, and reads nothing else.
+type windowHashPredictor struct{}
+
+func (windowHashPredictor) ScoreWindow(_ []float64, per [][]float64) float64 {
+	s := 0.0
+	for i, v := range per {
+		s += telemetryHashPredictor{}.ScoreWindow(v, nil) * float64(i+2)
+	}
+	return math.Mod(s, 1)
+}
+
+func (windowHashPredictor) Reads() Inputs { return ReadsPerInterval }
+
+// readOnlyPlan drops, freezes and glitches telemetry, derates DRAM and
+// pins predictions.
+func readOnlyPlan(t *testing.T) *fault.Injector {
+	t.Helper()
+	inj, err := fault.NewInjector(fault.Plan{Seed: 67, Rules: []fault.Rule{
+		{Class: fault.TelemetryDrop, Rate: 0.06, Burst: 2},
+		{Class: fault.CounterFreeze, Rate: 0.06, Burst: 2},
+		{Class: fault.CounterGlitch, Rate: 0.08, Burst: 3},
+		{Class: fault.DRAMDerate, Rate: 0.15, Burst: 3, Factor: 3},
+		{Class: fault.PredictionPin, Rate: 0.05, Burst: 2, Pin: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+// TestReadOnlyInputsMatchBothRead holds the deployment that computes only
+// the window vectors its models read to the one that computes both: on the
+// exact path, every deployment of a point model, a window model and a
+// controller with one of each must be DeepEqual to the same deployment
+// with both models declaring both vectors, over the Table-4 columns and a
+// noisy+debug set, at two granularities, bare and under a plan that drops,
+// freezes and glitches telemetry, derates DRAM and pins predictions, with
+// the guardrail on and off.
+func TestReadOnlyInputsMatchBothRead(t *testing.T) {
+	s := newDeploySuite(t, 31)
+	cs := s.ctrls[0].Counters
+	noisyCols, err := ColumnsByName(cs, []string{"l2_misses_smp0", "instructions", "debug_042", "stall_count", "cycles", "instructions"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := DefaultGuardrail()
+	var switches, injected, trips int
+	for _, cols := range [][]int{s.ctrls[0].Columns, noisyCols} {
+		for _, m := range []struct {
+			name   string
+			hi, lo Predictor
+		}{
+			{"point", telemetryHashPredictor{}, telemetryHashPredictor{}},
+			{"window", windowHashPredictor{}, windowHashPredictor{}},
+			{"point+window", telemetryHashPredictor{}, windowHashPredictor{}},
+		} {
+			for _, granularity := range []int{s.cfg.Interval, 2 * s.cfg.Interval} {
+				g := &GatingController{
+					Name: m.name, HighPerf: m.hi, LowPower: m.lo,
+					ThresholdHigh: 0.5, ThresholdLow: 0.5,
+					Interval: s.cfg.Interval, Granularity: granularity,
+					Counters: cs, Columns: cols, SLA: dataset.SLA{PSLA: 0.9},
+				}
+				both := readAllInputs(g)
+				for _, opts := range []DeployOptions{{}, {Injector: readOnlyPlan(t)}, {Guardrail: &gr, Injector: readOnlyPlan(t)}} {
+					for i, tr := range s.traces {
+						got, err := DeployWithOptions(g, tr, s.tel[i], s.cfg, s.pm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := DeployWithOptions(both, tr, s.tel[i], s.cfg, s.pm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s on %d columns, granularity %d, guardrail %v, injector %v, %s: reading only what the model reads gives %+v, reading both %+v",
+								m.name, len(cols), granularity, opts.Guardrail != nil, opts.Injector != nil, tr.Name, got, want)
+						}
+						switches += got.Switches
+						injected += int(got.InjectedFaults)
+						trips += got.GuardrailTrips
+					}
+				}
+			}
+		}
+	}
+	if switches == 0 || injected == 0 || trips == 0 {
+		t.Errorf("%d mode switches, %d injected faults, %d guardrail trips: the cases must exercise all three",
+			switches, injected, trips)
+	}
+}
+
+// TestStoredActivityMatchesEvents: for random base vectors, whole and
+// fractional, accounting a stored interval's activity in either mode adds
+// to a span exactly what converting its vector to events and adding those
+// adds, bit for bit.
+func TestStoredActivityMatchesEvents(t *testing.T) {
+	pm := power.DefaultModel()
+	f := func(raw [40]uint32, div uint8, low bool) bool {
+		base := make([]float64, telemetry.NumBase)
+		for j := range base {
+			base[j] = float64(raw[j]) / float64(1+div%5)
+		}
+		mode := uarch.ModeHighPerf
+		if low {
+			mode = uarch.ModeLowPower
+		}
+		iv := NewStoredInterval(base)
+		want := power.Span{Energy: 12.5, Cycles: 7, Instrs: 3}
+		got := want
+		var ev uarch.Events
+		telemetry.BaseToEvents(base, &ev)
+		want.Add(pm, &ev, mode)
+		got.AddActivity(pm, &iv.Activity, mode)
+		return math.Float64bits(got.Energy) == math.Float64bits(want.Energy) &&
+			got.Cycles == want.Cycles && got.Instrs == want.Instrs &&
+			math.Float64bits(pm.ActivityEnergy(&iv.Activity, mode)) == math.Float64bits(pm.Energy(&ev, mode))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeployAllocatesPerDeployment is the exact path's allocation guard:
+// with every interval served from a warm deployment DAG, a deployment
+// allocates as often on a recording of n windows as on one of 2n, bare and
+// under a plan that glitches a third of the intervals. The decision loop
+// fills the same window vectors for every window and a glitch writes into
+// the deployment's own buffers, so what it allocates is per deployment.
+func TestDeployAllocatesPerDeployment(t *testing.T) {
+	s := newDeploySuite(t, 37)
+	g := s.ctrls[1]
+	k := g.Granularity / g.Interval
+	full := s.tel[0]
+	n := full.Intervals() / k / 2
+	if n < 3 {
+		t.Fatalf("recording of %d intervals: too short for two lengths that both decide", full.Intervals())
+	}
+	glitchy, err := fault.NewInjector(fault.Plan{Seed: 71, Rules: []fault.Rule{
+		{Class: fault.CounterGlitch, Rate: 0.15, Burst: 3},
+		{Class: fault.DRAMDerate, Rate: 0.1, Burst: 2, Factor: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []DeployOptions{{}, {Injector: glitchy}} {
+		allocs := func(windows int) float64 {
+			ref := &dataset.TraceTelemetry{App: full.App, Benchmark: full.Benchmark, Workload: full.Workload,
+				TraceName: full.TraceName, Seed: full.Seed,
+				HighPerf: full.HighPerf[:windows*k], LowPower: full.LowPower[:windows*k]}
+			deploy := func() {
+				if _, err := DeployWithOptions(g, s.traces[0], ref, s.cfg, s.pm, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deploy() // grows the DAG and sums the reference span
+			return testing.AllocsPerRun(20, deploy)
+		}
+		if short, long := allocs(n), allocs(2*n); short != long {
+			t.Errorf("injector %v: a deployment of %d windows allocates %.0f times, one of %d windows %.0f",
+				opts.Injector != nil, n, short, 2*n, long)
+		}
 	}
 }

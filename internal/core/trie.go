@@ -29,7 +29,7 @@ var (
 // DAG over machine states. A node is a runner state between two
 // intervals, in the canonical shift-free form of uarch.Checkpoint, at one
 // depth; an edge is one interval under one (mode, DRAM derate) step from
-// a node, with its base vector and the node its end state encodes to. The
+// a node, with its stored interval and the node its end state encodes to. The
 // cycle model's output depends on nothing but the state and the step, so
 // a deployment whose next step leaves its node by a stored edge reads the
 // interval from the edge, and only a new (state, step) pair is simulated.
@@ -78,15 +78,13 @@ type trieNode struct {
 	edges []*trieEdge
 }
 
-// trieEdge is one simulated interval: the step it ran under, its
-// base-signal vector and whether that passed telemetry.ImplausibleVector,
-// and the node of the state it ended in.
+// trieEdge is one simulated interval: the step it ran under, the interval
+// as deployments read it, and the node of the state it ended in.
 type trieEdge struct {
-	mode      uarch.Mode
-	derate    float64
-	base      []float64
-	plausible bool
-	to        *trieNode
+	mode   uarch.Mode
+	derate float64
+	iv     StoredInterval
+	to     *trieNode
 }
 
 // edge returns the edge for the step from n, or nil. derate is compared
@@ -130,6 +128,7 @@ type trieSource struct {
 	t     *deployTrie
 	n     *trieNode // the node of the state after the last interval served
 	depth int       // intervals served
+	hits  int64     // intervals served from stored edges, counted at close
 	// locked reports that the source holds the trie's write lock; r is the
 	// cycle model when it stands in the state of n, nil after a hit.
 	locked bool
@@ -139,26 +138,25 @@ type trieSource struct {
 }
 
 // NextInterval returns the interval after the current node under the step
-// (mode, derate): the stored vector on a hit, otherwise the one just
-// simulated and stored, with the plausibility verdict taken when the edge
-// was stored. The deployment shares the vector and only reads it.
-func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) ([]float64, bool) {
+// (mode, derate): the stored one on a hit, otherwise the one just
+// simulated and stored. The deployment shares it and only reads it.
+func (s *trieSource) NextInterval(_ int, mode uarch.Mode, derate float64) *StoredInterval {
 	e, dry := s.lookup(mode, derate)
 	if dry {
-		return nil, false
+		return nil
 	}
 	if e != nil {
-		trieHits.Inc()
+		s.hits++
 		s.r = nil
 	} else if e = s.simulate(mode, derate); e == nil {
-		return nil, false
+		return nil
 	}
 	s.n = e.to
 	s.depth++
 	if shadowCheck != nil {
 		shadowCheck(s.shadow, s.depth, e)
 	}
-	return e.base, e.plausible
+	return &e.iv
 }
 
 // simulate runs the step from the current node on the cycle model and
@@ -181,10 +179,9 @@ func (s *trieSource) simulate(mode uarch.Mode, derate float64) *trieEdge {
 		s.t.end = s.depth
 		return nil
 	}
-	base := telemetry.ExtractBase(delta)
-	e := &trieEdge{mode: mode, derate: derate, base: base, plausible: telemetry.ImplausibleVector(base) == ""}
+	e := &trieEdge{mode: mode, derate: derate, iv: NewStoredInterval(telemetry.ExtractBase(delta))}
 	// The edge, its vector and its pointer in the node's edges.
-	size := int(unsafe.Sizeof(*e)) + 8*len(base) + 8
+	size := int(unsafe.Sizeof(*e)) + 8*len(e.iv.Base) + 8
 	s.buf = s.r.AppendCheckpoint(s.buf[:0])
 	if e.to = s.t.states[uarch.Checkpoint(s.buf)]; e.to != nil {
 		trieMerges.Inc()
@@ -221,8 +218,11 @@ func (s *trieSource) lookup(mode uarch.Mode, derate float64) (e *trieEdge, dry b
 	return s.n.edge(mode, derate), s.depth == s.t.end
 }
 
-// close releases the trie's write lock if the deployment took it.
+// close adds the deployment's hits to core.trie.hits and releases the
+// trie's write lock if the deployment took it.
 func (s *trieSource) close() {
+	trieHits.Add(s.hits)
+	s.hits = 0
 	if s.locked {
 		s.locked = false
 		s.t.mu.Unlock()

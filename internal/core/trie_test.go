@@ -29,6 +29,10 @@ func (p *gateFrom) ScoreWindow([]float64, [][]float64) float64 {
 	return 0
 }
 
+// Reads declares neither vector: the score depends on the call count
+// alone.
+func (*gateFrom) Reads() Inputs { return 0 }
+
 // trieCase is one deployment: a controller factory (stateful predictors
 // serve one deployment each), a trace of the suite and the options.
 type trieCase struct {
@@ -145,9 +149,9 @@ func withShadow(t *testing.T, f func()) {
 		base := telemetry.ExtractBase(delta)
 		what := ""
 		switch {
-		case !slices.Equal(base, e.base):
+		case !slices.Equal(base, e.iv.Base):
 			what = "base vector"
-		case (telemetry.ImplausibleVector(base) == "") != e.plausible:
+		case (telemetry.ImplausibleVector(base) == "") != e.iv.Plausible:
 			what = "plausibility verdict"
 		case uarch.Checkpoint(shadow.AppendCheckpoint(nil)) != e.to.cp:
 			what = "end state"
@@ -199,7 +203,7 @@ func derateFrom(t *testing.T, tr *trace.Trace, d int) *fault.Injector {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ti := inj.ForTrace(tr.Seed)
+		ti := inj.ForTrace(tr.Seed, 1)
 		ok := ti.MemDerate(d) > 1
 		for i := 0; i < d && ok; i++ {
 			ok = ti.MemDerate(i) == 1
@@ -356,7 +360,7 @@ func TestTrieHitAllocatesNothing(t *testing.T) {
 	walk := func() {
 		src.n, src.depth = &src.t.root, 0
 		for _, st := range sched {
-			if v, _ := src.NextInterval(0, st.mode, st.derate); v == nil {
+			if src.NextInterval(0, st.mode, st.derate) == nil {
 				t.Fatal("the trie ran dry inside a stored schedule")
 			}
 		}

@@ -19,6 +19,8 @@ type alwaysGate struct{}
 
 func (alwaysGate) ScoreWindow([]float64, [][]float64) float64 { return 1 }
 
+func (alwaysGate) Reads() core.Inputs { return 0 }
+
 // faultTestEnv builds a minimal Env — a small simulated SPEC subset, no
 // training corpus — sufficient for FaultStudy.
 func faultTestEnv(t *testing.T, workers int) (*Env, *core.GatingController) {

@@ -234,12 +234,21 @@ func (inj *Injector) Plan() Plan {
 // The view compiles the telemetry, DRAM-derate and prediction rules into
 // one schedule list per query, each rule's class, rate, burst and factor
 // resolved once; a rule that can never fire (Rate <= 0) is left out.
-func (inj *Injector) ForTrace(traceSeed int64) *TraceInjector {
+//
+// keep, at least 1, is how many of the latest intervals' observed vectors
+// the caller may still be reading when it asks for the next one: a glitch
+// at interval idx writes into the view's buffer idx mod keep, a ring made
+// once per view at its first glitch, so a glitch allocates nothing per
+// interval.
+func (inj *Injector) ForTrace(traceSeed int64, keep int) *TraceInjector {
 	if inj == nil {
 		return nil
 	}
+	if keep < 1 {
+		panic(fmt.Sprintf("fault: a trace view must keep at least 1 glitched vector, got %d", keep))
+	}
 	seed := inj.plan.Seed ^ traceSeed ^ 0x666c74 // "flt"
-	ti := &TraceInjector{seed: seed}
+	ti := &TraceInjector{seed: seed, keep: keep}
 	var nTel, nMem, nPred int
 	for _, r := range inj.plan.Rules {
 		if r.Rate > 0 {
@@ -323,6 +332,10 @@ type TraceInjector struct {
 	lastGood []float64
 	// zero is the all-zero vector every dropped interval reads.
 	zero []float64
+	// glitched is the ring of keep buffers glitches write into (see
+	// ForTrace).
+	glitched []float64
+	keep     int
 	// outages are the [start, end) interval windows of the TraceOutage
 	// rules this trace is a member of, resolved once at ForTrace time.
 	outages [][2]int
@@ -414,7 +427,7 @@ func (ti *TraceInjector) Injected() int64 {
 // must stay unchanged until the deployment ends, as core.IntervalSource
 // vectors do. The returned vector is read-only: it is base, prev, the
 // latched vector or the view's shared zero vector, except for a glitch,
-// which builds its own.
+// which stays unchanged for the next keep-1 calls (see ForTrace).
 func (ti *TraceInjector) Telemetry(idx int, base, prev []float64) (out []float64, faulted, dropped bool) {
 	if ti == nil {
 		return base, false, false
@@ -446,20 +459,37 @@ func (ti *TraceInjector) Telemetry(idx int, base, prev []float64) (out []float64
 			}
 			return held, true, false
 		default: // CounterGlitch
-			glitched := make([]float64, len(base))
-			for j, v := range base {
-				// A seed-chosen half of the signals overscale, producing
-				// physically inconsistent readings.
-				if Hash01(ti.seed^0x676c /* "gl" */, s.ri, idx*1031+j) < 0.5 {
-					v *= s.factor
-				}
-				glitched[j] = v
-			}
-			return glitched, true, false
+			return s.glitch(ti.seed, idx, base, ti.glitchBuf(idx, len(base))), true, false
 		}
 	}
 	ti.lastGood = base
 	return base, false, false
+}
+
+// glitchBuf returns the ring buffer of n signals a glitch at idx writes
+// into, see ForTrace.
+func (ti *TraceInjector) glitchBuf(idx, n int) []float64 {
+	if len(ti.glitched) != ti.keep*n {
+		ti.glitched = make([]float64, ti.keep*n)
+	}
+	slot := idx % ti.keep * n
+	return ti.glitched[slot : slot+n : slot+n]
+}
+
+// glitch writes base into dst with a seed-chosen half of the signals
+// overscaled by the rule's factor, producing physically inconsistent
+// readings. Signal j overscales when Hash01 of its index is below 0.5,
+// which holds exactly when the sign bit of its HashU64 is clear, so each
+// signal takes the scaled or the unscaled bits by that bit, without a
+// branch.
+func (s *schedule) glitch(seed int64, idx int, base, dst []float64) []float64 {
+	seed ^= 0x676c // "gl"
+	for j, v := range base {
+		unscaled := uint64(int64(HashU64(seed, s.ri, idx*1031+j)) >> 63) // all ones or zero
+		scaled, plain := math.Float64bits(v*s.factor), math.Float64bits(v)
+		dst[j] = math.Float64frombits(scaled ^ (scaled^plain)&unscaled)
+	}
+	return dst
 }
 
 // Prediction returns the prediction the controller acts on for window w,

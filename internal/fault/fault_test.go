@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -78,7 +79,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		v0               float64
 	}
 	record := func(order []int) map[int]obs {
-		ti := inj.ForTrace(7)
+		ti := inj.ForTrace(7, 1)
 		out := map[int]obs{}
 		for _, idx := range order {
 			v, f, d := ti.Telemetry(idx, base, prev)
@@ -107,10 +108,10 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 
 	// Different trace seeds must decorrelate schedules.
-	other := inj.ForTrace(8)
+	other := inj.ForTrace(8, 1)
 	same := true
 	for idx := 0; idx < 300; idx++ {
-		_, f1, _ := inj.ForTrace(7).Telemetry(idx, base, prev)
+		_, f1, _ := inj.ForTrace(7, 1).Telemetry(idx, base, prev)
 		_, f2, _ := other.Telemetry(idx, base, prev)
 		if f1 != f2 {
 			same = false
@@ -128,7 +129,7 @@ func TestBurstCoversConsecutiveIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti := inj.ForTrace(1)
+	ti := inj.ForTrace(1, 1)
 	base := []float64{1}
 	// Find a burst start: an index whose predecessor is clean.
 	start := -1
@@ -160,7 +161,7 @@ func TestTelemetryClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ti := inj.ForTrace(9)
+		ti := inj.ForTrace(9, 1)
 		for idx := 0; idx < 5000; idx++ {
 			if out, f, d := ti.Telemetry(idx, base, prev); f {
 				if ti.Injected() == 0 {
@@ -190,7 +191,7 @@ func TestTelemetryClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fti := frzInj.ForTrace(9)
+	fti := frzInj.ForTrace(9, 1)
 	var lastGood []float64
 	frozenSeen := 0
 	for idx := 0; idx < 5000 && frozenSeen < 10; idx++ {
@@ -237,7 +238,7 @@ func TestPredictionClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti := pinInj.ForTrace(5)
+	ti := pinInj.ForTrace(5, 1)
 	hit := false
 	for w := 0; w < 1000; w++ {
 		if p, f := ti.Prediction(w, 0, 0); f {
@@ -255,7 +256,7 @@ func TestPredictionClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti = staleInj.ForTrace(5)
+	ti = staleInj.ForTrace(5, 1)
 	hit = false
 	for w := 0; w < 1000; w++ {
 		if p, f := ti.Prediction(w, 0, 1); f {
@@ -295,7 +296,7 @@ func TestNilInjectorIsTransparent(t *testing.T) {
 	if err := inj.FailTask(1, 0); err != nil {
 		t.Error("nil injector failed a task")
 	}
-	ti := inj.ForTrace(1)
+	ti := inj.ForTrace(1, 1)
 	if ti != nil {
 		t.Fatal("nil injector returned non-nil trace view")
 	}
@@ -326,7 +327,7 @@ type statelessView struct {
 
 func newStatelessView(inj *Injector, traceSeed int64) *statelessView {
 	return &statelessView{rules: inj.plan.Rules, seed: inj.plan.Seed ^ traceSeed ^ 0x666c74,
-		outages: inj.ForTrace(traceSeed).outages}
+		outages: inj.ForTrace(traceSeed, 1).outages}
 }
 
 func (v *statelessView) Telemetry(idx int, base, prev []float64) (out []float64, faulted, dropped bool) {
@@ -469,7 +470,7 @@ func TestScheduleCursorMatchesStateless(t *testing.T) {
 			t.Fatal(err)
 		}
 		traceSeed := rng.Int63()
-		ti, ref := inj.ForTrace(traceSeed), newStatelessView(inj, traceSeed)
+		ti, ref := inj.ForTrace(traceSeed, 2), newStatelessView(inj, traceSeed)
 		var prev []float64
 		idx, pred := 0, 0
 		for q := 0; q < 200; q++ {
@@ -528,7 +529,7 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParsePlan accepted a plan NewInjector rejects: %v", err)
 		}
-		ti := inj.ForTrace(traceSeed)
+		ti := inj.ForTrace(traceSeed, 1)
 		// Four base vectors of one length, from raw as little-endian
 		// float64 bit patterns (NaN and infinities included).
 		vals := make([]float64, len(raw)/8)
@@ -554,7 +555,7 @@ func FuzzParsePlan(f *testing.F) {
 			_ = inj.FailTask(idx, 0)
 		}
 
-		cur, ref := inj.ForTrace(traceSeed), newStatelessView(inj, traceSeed)
+		cur, ref := inj.ForTrace(traceSeed, 3), newStatelessView(inj, traceSeed)
 		prev, pred = nil, 0
 		back := int(uint64(traceSeed) % 12)
 		for q, idx := range append([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, back) {
@@ -565,4 +566,43 @@ func FuzzParsePlan(f *testing.F) {
 			prev, pred = base, idx%2
 		}
 	})
+}
+
+// TestGlitchRingKeepsLatest: with every interval glitched, a view that
+// keeps k vectors writes each glitch into its ring of k buffers, so the
+// latest k glitched vectors stay equal to the stateless reference's while
+// later ones are written, and a warm ring glitches without allocating. A
+// view must keep at least one.
+func TestGlitchRingKeepsLatest(t *testing.T) {
+	inj, err := NewInjector(Plan{Seed: 3, Rules: []Rule{{Class: CounterGlitch, Rate: 1, Factor: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keep = 3
+	ti, ref := inj.ForTrace(11, keep), newStatelessView(inj, 11)
+	base := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	var got, want [][]float64
+	for idx := 0; idx < 20; idx++ {
+		out, f, _ := ti.Telemetry(idx, base, nil)
+		wout, _, _ := ref.Telemetry(idx, base, nil)
+		if !f {
+			t.Fatalf("interval %d not glitched at rate 1", idx)
+		}
+		got, want = append(got, out), append(want, wout)
+		for j := max(0, idx-keep+1); j <= idx; j++ {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("after interval %d: interval %d's glitched vector reads %v, want %v", idx, j, got[j], want[j])
+			}
+		}
+	}
+	idx := 20
+	if a := testing.AllocsPerRun(50, func() { ti.Telemetry(idx, base, nil); idx++ }); a != 0 {
+		t.Errorf("a glitch on a warm ring allocates %.1f times", a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a view that keeps no glitched vector was made")
+		}
+	}()
+	inj.ForTrace(11, 0)
 }

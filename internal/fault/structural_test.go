@@ -22,7 +22,7 @@ func TestTraceOutageCorrelatedWindow(t *testing.T) {
 	base := []float64{1, 2, 3}
 	affected, clean := 0, 0
 	for seed := int64(0); seed < 200; seed++ {
-		ti := inj.ForTrace(seed)
+		ti := inj.ForTrace(seed, 1)
 		_, _, droppedIn := ti.Telemetry(10, base, nil)
 		_, faultedBefore, _ := ti.Telemetry(4, base, nil)
 		_, faultedAfter, _ := ti.Telemetry(25, base, nil)
@@ -60,8 +60,8 @@ func TestTraceOutageMembershipDeterministic(t *testing.T) {
 	}
 	base := []float64{1}
 	for seed := int64(0); seed < 50; seed++ {
-		a := inj.ForTrace(seed)
-		b := inj.ForTrace(seed)
+		a := inj.ForTrace(seed, 1)
+		b := inj.ForTrace(seed, 1)
 		_, _, da := a.Telemetry(10, base, nil)
 		_, _, db := b.Telemetry(10, base, nil)
 		if da != db {
@@ -77,8 +77,8 @@ func TestTraceOutageMembershipDeterministic(t *testing.T) {
 	}
 	differs := false
 	for seed := int64(0); seed < 200; seed++ {
-		_, _, d1 := inj.ForTrace(seed).Telemetry(10, base, nil)
-		_, _, d2 := inj2.ForTrace(seed).Telemetry(10, base, nil)
+		_, _, d1 := inj.ForTrace(seed, 1).Telemetry(10, base, nil)
+		_, _, d2 := inj2.ForTrace(seed, 1).Telemetry(10, base, nil)
 		if d1 != d2 {
 			differs = true
 			break
@@ -99,13 +99,13 @@ func TestMemDerateScheduleDeterministic(t *testing.T) {
 	}
 	const n = 500
 	fwd := make([]float64, n)
-	ti := inj.ForTrace(11)
+	ti := inj.ForTrace(11, 1)
 	for i := 0; i < n; i++ {
 		fwd[i] = ti.MemDerate(i)
 	}
 	// Reverse query order must yield the identical schedule (stateless hash).
 	rev := make([]float64, n)
-	ti2 := inj.ForTrace(11)
+	ti2 := inj.ForTrace(11, 1)
 	for i := n - 1; i >= 0; i-- {
 		rev[i] = ti2.MemDerate(i)
 	}
@@ -133,7 +133,7 @@ func TestMemDerateDefaultFactorAndNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inj.ForTrace(1).MemDerate(0); got != 4 {
+	if got := inj.ForTrace(1, 1).MemDerate(0); got != 4 {
 		t.Fatalf("zero Factor: got %v, want default 4", got)
 	}
 	var nilTI *TraceInjector

@@ -57,15 +57,54 @@ func (m *Model) staticPerCycle(mode uarch.Mode) float64 {
 // executed in the given mode. ev is read, not kept; it is passed by
 // pointer because a deployment accounts every interval it runs.
 func (m *Model) Energy(ev *uarch.Events, mode uarch.Mode) float64 {
-	e := m.staticPerCycle(mode) * float64(ev.Cycles)
-	e += m.PerUop * float64(ev.Instrs+ev.RegTransferUops)
-	e += m.PerL1DAccess * float64(ev.L1DHits+ev.L1DMisses)
-	e += m.PerL2Access * float64(ev.L2Hits+ev.L2Misses)
-	e += m.PerMemAccess * float64(ev.L2Misses)
-	e += m.PerFPOp * float64(ev.FPOps)
-	e += m.PerMispred * float64(ev.Mispredicts)
-	e += m.PerWrongPath * float64(ev.WrongPathUops)
-	e += m.PerISide * float64(ev.UopCacheHits+ev.UopCacheMisses+ev.L1IHits+ev.L1IMisses)
+	a := ActivityOf(ev)
+	return m.ActivityEnergy(&a, mode)
+}
+
+// Activity is what the model weighs of one interval's events: its cycles
+// and instructions and the event sums behind each dynamic-energy term, in
+// whole counts. An interval's activity does not depend on the mode it is
+// accounted in or on the model's weights, so a store of intervals takes it
+// once per interval and accounts it any number of times.
+type Activity struct {
+	Cycles, Instrs uint64
+	Uops           uint64 // instructions plus register-transfer uops
+	L1D            uint64 // L1D hits plus misses
+	L2             uint64 // L2 hits plus misses
+	Mem            uint64 // L2 misses, each a DRAM access
+	FP             uint64
+	Mispredicts    uint64
+	WrongPath      uint64
+	ISide          uint64 // uop-cache and L1I hits plus misses
+}
+
+// ActivityOf takes ev's activity.
+func ActivityOf(ev *uarch.Events) Activity {
+	return Activity{
+		Cycles: ev.Cycles, Instrs: ev.Instrs,
+		Uops:        ev.Instrs + ev.RegTransferUops,
+		L1D:         ev.L1DHits + ev.L1DMisses,
+		L2:          ev.L2Hits + ev.L2Misses,
+		Mem:         ev.L2Misses,
+		FP:          ev.FPOps,
+		Mispredicts: ev.Mispredicts,
+		WrongPath:   ev.WrongPathUops,
+		ISide:       ev.UopCacheHits + ev.UopCacheMisses + ev.L1IHits + ev.L1IMisses,
+	}
+}
+
+// ActivityEnergy returns the energy of an interval of activity a executed
+// in the given mode: Energy of the events a was taken from, bit for bit.
+func (m *Model) ActivityEnergy(a *Activity, mode uarch.Mode) float64 {
+	e := m.staticPerCycle(mode) * float64(a.Cycles)
+	e += m.PerUop * float64(a.Uops)
+	e += m.PerL1DAccess * float64(a.L1D)
+	e += m.PerL2Access * float64(a.L2)
+	e += m.PerMemAccess * float64(a.Mem)
+	e += m.PerFPOp * float64(a.FP)
+	e += m.PerMispred * float64(a.Mispredicts)
+	e += m.PerWrongPath * float64(a.WrongPath)
+	e += m.PerISide * float64(a.ISide)
 	return e
 }
 
@@ -97,9 +136,16 @@ type Span struct {
 // Add accounts one interval executed in the given mode; ev is read, not
 // kept.
 func (s *Span) Add(m *Model, ev *uarch.Events, mode uarch.Mode) {
-	s.Energy += m.Energy(ev, mode)
-	s.Cycles += ev.Cycles
-	s.Instrs += ev.Instrs
+	a := ActivityOf(ev)
+	s.AddActivity(m, &a, mode)
+}
+
+// AddActivity accounts one interval of activity a executed in the given
+// mode, as Add accounts the events a was taken from; a is read, not kept.
+func (s *Span) AddActivity(m *Model, a *Activity, mode uarch.Mode) {
+	s.Energy += m.ActivityEnergy(a, mode)
+	s.Cycles += a.Cycles
+	s.Instrs += a.Instrs
 }
 
 // IPC returns instructions per cycle over the span.

@@ -143,3 +143,52 @@ func TestSpanAccumulationMatchesSingleInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// eventEnergy is Energy as it read before activities: the dynamic terms
+// summed straight from the event fields. It is the reference the activity
+// path is held to.
+func eventEnergy(m *Model, ev *uarch.Events, mode uarch.Mode) float64 {
+	e := m.staticPerCycle(mode) * float64(ev.Cycles)
+	e += m.PerUop * float64(ev.Instrs+ev.RegTransferUops)
+	e += m.PerL1DAccess * float64(ev.L1DHits+ev.L1DMisses)
+	e += m.PerL2Access * float64(ev.L2Hits+ev.L2Misses)
+	e += m.PerMemAccess * float64(ev.L2Misses)
+	e += m.PerFPOp * float64(ev.FPOps)
+	e += m.PerMispred * float64(ev.Mispredicts)
+	e += m.PerWrongPath * float64(ev.WrongPathUops)
+	e += m.PerISide * float64(ev.UopCacheHits+ev.UopCacheMisses+ev.L1IHits+ev.L1IMisses)
+	return e
+}
+
+// TestActivityEnergyMatchesEventsProperty: over random events in every
+// field Energy weighs, in both modes, Energy, ActivityEnergy and a span
+// built by AddActivity equal the per-event formula bit for bit, and a span
+// built by Add equals one built by AddActivity.
+func TestActivityEnergyMatchesEventsProperty(t *testing.T) {
+	m := DefaultModel()
+	f := func(raw [13]uint32, low bool) bool {
+		ev := uarch.Events{
+			Cycles: uint64(raw[0]), Instrs: uint64(raw[1]), RegTransferUops: uint64(raw[2]),
+			L1DHits: uint64(raw[3]), L1DMisses: uint64(raw[4]), L2Hits: uint64(raw[5]),
+			L2Misses: uint64(raw[6]), FPOps: uint64(raw[7]), Mispredicts: uint64(raw[8]),
+			WrongPathUops: uint64(raw[9]), UopCacheHits: uint64(raw[10]), UopCacheMisses: uint64(raw[11]),
+			L1IHits: uint64(raw[12]) << 20, L1IMisses: uint64(raw[12]),
+		}
+		mode := uarch.ModeHighPerf
+		if low {
+			mode = uarch.ModeLowPower
+		}
+		want := math.Float64bits(eventEnergy(m, &ev, mode))
+		a := ActivityOf(&ev)
+		var byEvents, byActivity Span
+		byEvents.Add(m, &ev, mode)
+		byActivity.AddActivity(m, &a, mode)
+		return math.Float64bits(m.Energy(&ev, mode)) == want &&
+			math.Float64bits(m.ActivityEnergy(&a, mode)) == want &&
+			math.Float64bits(byActivity.Energy) == want &&
+			byActivity == byEvents && byActivity.Cycles == ev.Cycles && byActivity.Instrs == ev.Instrs
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

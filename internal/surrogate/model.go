@@ -83,9 +83,15 @@ func (m *Model) Replay(g *core.GatingController, tr *trace.Trace, ref *dataset.T
 	if m != nil && m.FeatureVersion != FeatureVersion {
 		return nil, fmt.Errorf("surrogate: model feature schema v%d, package is v%d", m.FeatureVersion, FeatureVersion)
 	}
-	return core.DeployFrom(g, tr, ref, pm, opts, func() core.IntervalSource {
-		return &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock(), table: m.residuals(ref)}
+	var src *traceModel
+	res, err := core.DeployFrom(g, tr, ref, pm, opts, func() core.IntervalSource {
+		src = &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock(), table: m.residuals(ref)}
+		return src
 	})
+	if src != nil {
+		residualHits.Add(src.hits)
+	}
+	return res, err
 }
 
 // traceModel is the surrogate's core.IntervalSource for one deployment:
@@ -101,16 +107,19 @@ type traceModel struct {
 	// checked reports that table has been checked against core; table is
 	// nil from then on if it serves another core.
 	checked bool
+	// hits counts the intervals the table already stored, which Replay
+	// adds to surrogate.residual.hits once per deployment.
+	hits int64
 }
 
 // NextInterval returns the surrogate's estimate of the exact simulator's
-// interval delta (see estimate), as stored in the recording's table with
-// its plausibility verdict: the deployment shares the vector and only
-// reads it. An interval computed without a table carries no verdict. The
-// recordings hold only full intervals, so it returns nil past their end.
-func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
+// interval delta (see estimate), as stored in the recording's table: the
+// deployment shares the interval and only reads it. An interval computed
+// without a table is stored for the deployment alone. The recordings hold
+// only full intervals, so it returns nil past their end.
+func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) *core.StoredInterval {
 	if gidx >= t.ref.Intervals() {
-		return nil, false
+		return nil
 	}
 	sinceSwitch := t.clock.next(mode)
 	if !t.checked {
@@ -120,10 +129,14 @@ func (t *traceModel) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]
 		}
 	}
 	if t.table == nil {
-		return t.estimate(gidx, mode, derate, sinceSwitch), false
+		iv := core.NewStoredInterval(t.estimate(gidx, mode, derate, sinceSwitch))
+		return &iv
 	}
-	v := t.table.interval(t, gidx, mode, derate, sinceSwitch)
-	return v.base, v.plausible
+	iv, hit := t.table.interval(t, gidx, mode, derate, sinceSwitch)
+	if hit {
+		t.hits++
+	}
+	return iv
 }
 
 // estimate computes interval gidx afresh: the recorded steady-state vector

@@ -129,9 +129,9 @@ type keyRecorder struct {
 	lookups int
 }
 
-func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
-	v, plausible := k.src.NextInterval(gidx, mode, derate)
-	if v != nil {
+func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) *core.StoredInterval {
+	iv := k.src.NextInterval(gidx, mode, derate)
+	if iv != nil {
 		since := k.clock.next(mode)
 		if since > sinceSwitchCap {
 			since = sinceSwitchCap
@@ -143,7 +143,7 @@ func (k *keyRecorder) NextInterval(gidx int, mode uarch.Mode, derate float64) ([
 		k.keys[[5]uint64{uint64(k.trace), uint64(gidx), low, uint64(since), math.Float64bits(derate)}] = true
 		k.lookups++
 	}
-	return v, plausible
+	return iv
 }
 
 // TestResidualTableMatchesDirect is the residual table's differential
@@ -233,8 +233,8 @@ func TestResidualTableRandomSchedules(t *testing.T) {
 					}
 					run--
 					derate := derates[rng.Intn(len(derates))]
-					got, _ := table.NextInterval(gidx, mode, derate)
-					want, _ := direct.NextInterval(gidx, mode, derate)
+					got := table.NextInterval(gidx, mode, derate)
+					want := direct.NextInterval(gidx, mode, derate)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s backend, schedule %d, trace %d, interval %d (mode %d, derate %v): table %v, direct %v",
 							m.Backend, s, i, gidx, mode, derate, got, want)
@@ -250,7 +250,7 @@ func TestResidualTableRandomSchedules(t *testing.T) {
 
 // TestResidualTableHitAllocatesNothing: an interval the table answers
 // through traceModel.NextInterval allocates nothing and is the stored
-// vector itself, and a recording's deployments share one table.
+// interval itself, and a recording's deployments share one table.
 func TestResidualTableHitAllocatesNothing(t *testing.T) {
 	_, tel, cfg := testCorpus(t)
 	m := testBackends(t)[0]
@@ -261,16 +261,16 @@ func TestResidualTableHitAllocatesNothing(t *testing.T) {
 	}
 	src := &traceModel{m: m, ref: ref, core: cfg.Core, clock: newSwitchClock(), table: tab}
 	// From the cap on, the since-switch count no longer changes the key.
-	var want []float64
+	var want *core.StoredInterval
 	for i := 0; i <= sinceSwitchCap; i++ {
-		want, _ = src.NextInterval(2, uarch.ModeLowPower, 4)
+		want = src.NextInterval(2, uarch.ModeLowPower, 4)
 	}
-	var got []float64
-	if a := testing.AllocsPerRun(100, func() { got, _ = src.NextInterval(2, uarch.ModeLowPower, 4) }); a != 0 {
+	var got *core.StoredInterval
+	if a := testing.AllocsPerRun(100, func() { got = src.NextInterval(2, uarch.ModeLowPower, 4) }); a != 0 {
 		t.Errorf("a table hit allocates %.1f times", a)
 	}
-	if &got[0] != &want[0] {
-		t.Error("a hit returned a vector other than the stored one")
+	if got != want {
+		t.Error("a hit returned an interval other than the stored one")
 	}
 }
 
@@ -315,7 +315,9 @@ func TestResidualTableTiedToCore(t *testing.T) {
 }
 
 // checkTableVerdicts requires every interval m's residual tables store to
-// carry the verdict the full plausibility check gives its vector.
+// carry the verdict the full plausibility check gives its vector and the
+// activity power accounting takes of the vector's events, and each slot's
+// derates to be distinct.
 func checkTableVerdicts(t *testing.T, m *Model) {
 	t.Helper()
 	stored := 0
@@ -323,10 +325,27 @@ func checkTableVerdicts(t *testing.T, m *Model) {
 	defer m.tablesMu.Unlock()
 	for _, tab := range m.tables {
 		tab.mu.Lock()
-		for k, v := range tab.v {
-			stored++
-			if want := telemetry.ImplausibleBase(v.base, nil) == ""; v.plausible != want {
-				t.Errorf("%s backend, key %+v: stored verdict %v, the full check gives %v", m.Backend, k, v.plausible, want)
+		for s := range tab.slots {
+			list := tab.slots[s].Load()
+			if list == nil {
+				continue
+			}
+			seen := map[uint64]bool{}
+			for _, e := range *list {
+				stored++
+				if seen[e.derate] {
+					t.Errorf("%s backend, slot %d: derate %v stored twice", m.Backend, s, math.Float64frombits(e.derate))
+				}
+				seen[e.derate] = true
+				iv := e.iv
+				if want := telemetry.ImplausibleBase(iv.Base, nil) == ""; iv.Plausible != want {
+					t.Errorf("%s backend, slot %d: stored verdict %v, the full check gives %v", m.Backend, s, iv.Plausible, want)
+				}
+				var ev uarch.Events
+				telemetry.BaseToEvents(iv.Base, &ev)
+				if want := power.ActivityOf(&ev); iv.Activity != want {
+					t.Errorf("%s backend, slot %d: stored activity %+v, its vector's is %+v", m.Backend, s, iv.Activity, want)
+				}
 			}
 		}
 		tab.mu.Unlock()
@@ -340,9 +359,14 @@ func checkTableVerdicts(t *testing.T, m *Model) {
 // plausibility verdicts, so the guardrail checks every interval in full.
 type unknownVerdicts struct{ inner core.IntervalSource }
 
-func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) ([]float64, bool) {
-	v, _ := s.inner.NextInterval(gidx, mode, derate)
-	return v, false
+func (s unknownVerdicts) NextInterval(gidx int, mode uarch.Mode, derate float64) *core.StoredInterval {
+	iv := s.inner.NextInterval(gidx, mode, derate)
+	if iv == nil {
+		return nil
+	}
+	unknown := *iv
+	unknown.Plausible = false
+	return &unknown
 }
 
 // TestStoredVerdictsMatchFullCheck holds the residual tables' stored
@@ -404,10 +428,12 @@ func TestStoredVerdictsMatchFullCheck(t *testing.T) {
 	}
 }
 
-// TestDeployAllocatesPerDeployment: with no fault plan and every interval
-// a table hit, a surrogate deployment allocates as often on a recording of
-// n windows as on one of 2n. The decision loop fills the same window
-// vectors for every window, so what it allocates is per deployment.
+// TestDeployAllocatesPerDeployment: with every interval a table hit, a
+// surrogate deployment allocates as often on a recording of n windows as
+// on one of 2n, bare and under a plan that glitches a third of the
+// intervals. The decision loop fills the same window vectors for every
+// window and a glitch writes into the deployment's own buffers, so what
+// it allocates is per deployment.
 func TestDeployAllocatesPerDeployment(t *testing.T) {
 	c, tel, cfg := testCorpus(t)
 	m := testBackends(t)[0]
@@ -419,19 +445,103 @@ func TestDeployAllocatesPerDeployment(t *testing.T) {
 	if n < 3 {
 		t.Fatalf("recording of %d intervals: too short for two lengths that both decide", full.Intervals())
 	}
-	allocs := func(windows int) float64 {
-		ref := &dataset.TraceTelemetry{App: full.App, Benchmark: full.Benchmark, Workload: full.Workload,
-			TraceName: full.TraceName, Seed: full.Seed,
-			HighPerf: full.HighPerf[:windows*k], LowPower: full.LowPower[:windows*k]}
-		deploy := func() {
-			if _, err := m.Replay(g, c.Traces[0], ref, cfg, pm, core.DeployOptions{}); err != nil {
-				t.Fatal(err)
+	glitchy, err := fault.NewInjector(fault.Plan{Seed: 73, Rules: []fault.Rule{
+		{Class: fault.CounterGlitch, Rate: 0.15, Burst: 3},
+		{Class: fault.DRAMDerate, Rate: 0.1, Burst: 2, Factor: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []core.DeployOptions{{}, {Injector: glitchy}} {
+		allocs := func(windows int) float64 {
+			ref := &dataset.TraceTelemetry{App: full.App, Benchmark: full.Benchmark, Workload: full.Workload,
+				TraceName: full.TraceName, Seed: full.Seed,
+				HighPerf: full.HighPerf[:windows*k], LowPower: full.LowPower[:windows*k]}
+			deploy := func() {
+				if _, err := m.Replay(g, c.Traces[0], ref, cfg, pm, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deploy() // fills the recording's table and its reference span
+			return testing.AllocsPerRun(20, deploy)
+		}
+		if short, long := allocs(n), allocs(2*n); short != long {
+			t.Errorf("injector %v: a deployment of %d windows allocates %.0f times, one of %d windows %.0f",
+				opts.Injector != nil, n, short, 2*n, long)
+		}
+	}
+}
+
+// readsBoth declares that its predictor reads both window vectors, so the
+// deployment computes every vector.
+type readsBoth struct{ core.Predictor }
+
+func (readsBoth) Reads() core.Inputs { return core.ReadsBoth }
+
+// hashWindow is a window model: it scores a pseudo-random value of the
+// last interval's first counter.
+type hashWindow struct{ seed uint64 }
+
+func (h hashWindow) ScoreWindow(per [][]float64) float64 {
+	return hash01(h.seed, math.Float64bits(per[len(per)-1][0]))
+}
+
+// TestReadOnlyInputsMatchBothRead is the surrogate path's twin of core's
+// test of that name: for both backends, every replay of a point model, a
+// window model and a controller with one of each must be DeepEqual to the
+// same replay with both models declaring both window vectors, over the
+// Table-4 columns and a noisy+debug set, bare and under a plan that drops,
+// freezes and glitches telemetry, derates DRAM and pins predictions, with
+// the guardrail on and off.
+func TestReadOnlyInputsMatchBothRead(t *testing.T) {
+	c, tel, cfg := testCorpus(t)
+	pm := power.DefaultModel()
+	inj, err := fault.NewInjector(fault.Plan{Seed: 67, Rules: []fault.Rule{
+		{Class: fault.TelemetryDrop, Rate: 0.06, Burst: 2},
+		{Class: fault.CounterFreeze, Rate: 0.06, Burst: 2},
+		{Class: fault.CounterGlitch, Rate: 0.08, Burst: 3},
+		{Class: fault.DRAMDerate, Rate: 0.15, Burst: 3, Factor: 3},
+		{Class: fault.PredictionPin, Rate: 0.05, Burst: 2, Pin: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr := core.DefaultGuardrail()
+	point, window := core.PointPredictor{M: hashScorer{seed: 5}}, core.WindowPredictor{M: hashWindow{seed: 6}}
+	var switches, trips int
+	for _, m := range testBackends(t) {
+		for _, names := range [][]string{telemetry.Table4Names(), {"l2_misses_smp0", "instructions", "debug_042", "stall_count", "instructions"}} {
+			for _, preds := range [][2]core.Predictor{{point, point}, {window, window}, {point, window}} {
+				g := testController(t, cfg, nil)
+				cols, err := core.ColumnsByName(g.Counters, names)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Columns, g.HighPerf, g.LowPower = cols, preds[0], preds[1]
+				both := *g
+				both.HighPerf, both.LowPower = readsBoth{g.HighPerf}, readsBoth{g.LowPower}
+				for _, opts := range []core.DeployOptions{{}, {Injector: inj}, {Guardrail: &gr, Injector: inj}} {
+					for i, tr := range c.Traces {
+						got, err := m.Replay(g, tr, tel[i], cfg, pm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := m.Replay(&both, tr, tel[i], cfg, pm, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s backend, %d columns, %T/%T, guardrail %v, injector %v, %s: reading only what the model reads gives %+v, reading both %+v",
+								m.Backend, len(cols), preds[0], preds[1], opts.Guardrail != nil, opts.Injector != nil, tr.Name, got, want)
+						}
+						switches += got.Switches
+						trips += got.GuardrailTrips
+					}
+				}
 			}
 		}
-		deploy() // fills the recording's table and its reference span
-		return testing.AllocsPerRun(20, deploy)
 	}
-	if short, long := allocs(n), allocs(2*n); short != long {
-		t.Errorf("a deployment of %d windows allocates %.0f times, one of %d windows %.0f", n, short, 2*n, long)
+	if switches == 0 || trips == 0 {
+		t.Errorf("%d mode switches and %d guardrail trips: the cases must exercise both", switches, trips)
 	}
 }

@@ -146,6 +146,11 @@ type counterSpec struct {
 type CounterSet struct {
 	Names []string
 	specs []counterSpec
+
+	// projs memoises Project: one immutable projection per column list,
+	// keyed by the list's bytes (projKey).
+	projMu sync.RWMutex
+	projs  map[string]*Projection
 }
 
 // NewStandardCounterSet returns the 936-counter space. The set is built
@@ -247,8 +252,9 @@ func (cs *CounterSet) Snapshot(base []float64, normalize bool, rng *rand.Rand) [
 
 // Projection snapshots a column subset of a CounterSet, computing only the
 // counters it selects — the firmware reads the counters its model uses,
-// not all 936. Build one per batch of snapshots (a deployment, a dataset):
-// it is immutable and safe for concurrent use.
+// not all 936. CounterSet.Project builds one per column list and hands it
+// to every batch of snapshots (a deployment, a dataset) over that list: it
+// is immutable and safe for concurrent use.
 //
 // A projection reproduces the full expansion bit for bit. The expansion
 // reads the noise stream in set order — one NormFloat64 per noisy counter
@@ -265,6 +271,9 @@ type Projection struct {
 	dups  [][2]int
 	width int
 	draws bool
+	// reads are the base signals the steps and the normalisation read, in
+	// ascending order: every other signal may hold anything.
+	reads []int
 }
 
 // projStep computes one counter into output position out, or only
@@ -284,7 +293,10 @@ var (
 
 // Project returns the projection onto cols: output j is counter cols[j].
 // Columns may repeat and come in any order; nil selects every counter in
-// set order. A column outside the set panics.
+// set order. A column outside the set panics. The set builds each column
+// list's projection once and hands the same one to every later call with
+// an equal list, so a deployment's projection is a lookup; it keeps a copy
+// of the list, never cols itself.
 func (cs *CounterSet) Project(cols []int) *Projection {
 	if cols == nil {
 		cols = make([]int, len(cs.specs))
@@ -292,13 +304,46 @@ func (cs *CounterSet) Project(cols []int) *Projection {
 			cols[i] = i
 		}
 	}
-	// Output positions ordered by column, so one pass in set order finds
-	// every output of each selected counter.
-	order := make([]int, len(cols))
-	for j, c := range cols {
+	for _, c := range cols {
 		if c < 0 || c >= len(cs.specs) {
 			panic(fmt.Sprintf("telemetry: column %d outside the %d-counter set", c, len(cs.specs)))
 		}
+	}
+	var buf [64]byte
+	key := projKey(buf[:0], cols)
+	cs.projMu.RLock()
+	p := cs.projs[string(key)]
+	cs.projMu.RUnlock()
+	if p != nil {
+		return p
+	}
+	cs.projMu.Lock()
+	defer cs.projMu.Unlock()
+	if p = cs.projs[string(key)]; p == nil {
+		if cs.projs == nil {
+			cs.projs = map[string]*Projection{}
+		}
+		p = cs.project(cols)
+		cs.projs[string(key)] = p
+	}
+	return p
+}
+
+// projKey appends cols, each column in the set's 16-bit source index
+// range, to dst as two bytes a column: equal lists give equal keys.
+func projKey(dst []byte, cols []int) []byte {
+	for _, c := range cols {
+		dst = append(dst, byte(c), byte(c>>8))
+	}
+	return dst
+}
+
+// project builds the projection onto cols, which Project has checked.
+func (cs *CounterSet) project(cols []int) *Projection {
+	// Output positions ordered by column, so one pass in set order finds
+	// every output of each selected counter.
+	order := make([]int, len(cols))
+	for j := range cols {
 		order[j] = j
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cols[a] - cols[b] })
@@ -310,6 +355,8 @@ func (cs *CounterSet) Project(cols []int) *Projection {
 			break
 		}
 	}
+	read := make([]bool, NumBase)
+	read[NumBase-1] = true // "cycles", the normalisation's divisor
 	next := 0
 	for i := range cs.specs {
 		out := -1
@@ -322,9 +369,17 @@ func (cs *CounterSet) Project(cols []int) *Projection {
 		}
 		if out >= 0 || (p.draws && cs.specs[i].drawsNoise()) {
 			p.steps = append(p.steps, projStep{spec: cs.specs[i], out: out})
+			for _, b := range cs.specs[i].reads(out >= 0) {
+				read[b] = true
+			}
 		}
 		if next == len(order) && !p.draws {
 			break
+		}
+	}
+	for b, r := range read {
+		if r {
+			p.reads = append(p.reads, b)
 		}
 	}
 	return p
@@ -386,6 +441,24 @@ func (sp *counterSpec) drawsNoise() bool {
 	return sp.kind == kindNoisy || sp.kind == kindDebug
 }
 
+// reads returns the base signals value reads: for the counter's output
+// when kept, otherwise only those that decide how far it advances the
+// noise stream (a noisy counter draws only for a nonzero signal, a debug
+// counter always draws once).
+func (sp *counterSpec) reads(kept bool) []uint16 {
+	switch sp.kind {
+	case kindSum:
+		return sp.src[:2]
+	case kindCombo:
+		return sp.src[:3]
+	case kindDebug:
+		if !kept {
+			return nil
+		}
+	}
+	return sp.src[:1]
+}
+
 // value computes the counter from an interval's base signals, drawing
 // from rng as the full expansion does.
 func (sp *counterSpec) value(base []float64, rng *rand.Rand) float64 {
@@ -414,20 +487,13 @@ func (sp *counterSpec) value(base []float64, rng *rand.Rand) float64 {
 
 // Aggregate sums successive interval base vectors into one coarser vector,
 // matching the paper's "sum over successive intervals and re-normalize"
-// procedure for coarser prediction granularities.
+// procedure for coarser prediction granularities. It returns nil for no
+// vectors.
 func Aggregate(bases [][]float64) []float64 {
-	return AggregateInto(nil, bases)
-}
-
-// AggregateInto is Aggregate summing into dst: it returns dst resliced to
-// the first vector's length and zeroed before the sum, or a new vector
-// when dst is too short. It returns nil for no vectors.
-func AggregateInto(dst []float64, bases [][]float64) []float64 {
 	if len(bases) == 0 {
 		return nil
 	}
-	out := resize(dst, len(bases[0]))
-	clear(out)
+	out := make([]float64, len(bases[0]))
 	for _, b := range bases {
 		for i, v := range b {
 			out[i] += v
@@ -435,6 +501,30 @@ func AggregateInto(dst []float64, bases [][]float64) []float64 {
 	}
 	return out
 }
+
+// AggregateInto is Aggregate for the projection's snapshots, summing into
+// dst: it sums only the base signals the projection reads and zeroes the
+// others, so that SnapshotInto of the result equals, bit for bit and noise
+// stream included, SnapshotInto of the full sum. It returns dst resliced
+// to NumBase, or a new vector when dst is too short, and nil for no
+// vectors. Every vector must hold NumBase signals.
+func (p *Projection) AggregateInto(dst []float64, bases [][]float64) []float64 {
+	if len(bases) == 0 {
+		return nil
+	}
+	out := resize(dst, NumBase)
+	clear(out)
+	for _, b := range bases {
+		b = b[:NumBase]
+		for _, i := range p.reads {
+			out[i] += b[i]
+		}
+	}
+	return out
+}
+
+// Width returns the number of counters a snapshot holds.
+func (p *Projection) Width() int { return p.width }
 
 // resize returns dst resliced to n, or a new vector of n when dst's
 // capacity is short.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -350,4 +351,138 @@ func projectionBases(rng *rand.Rand) [][]float64 {
 		bases = append(bases, b)
 	}
 	return bases
+}
+
+// TestProjectionAggregateMatchesFull holds the projection's aggregate,
+// which sums only the base signals the projection reads, to the full
+// aggregate: over random column lists that draw from all six counter
+// kinds, with repeats, and random windows with zero signals and zero
+// cycles, the snapshot of each equals the other's bit for bit, with and
+// without normalisation, and leaves the noise stream in the same state.
+func TestProjectionAggregateMatchesFull(t *testing.T) {
+	cs := NewStandardCounterSet()
+	var byKind [kindDebug + 1][]int
+	for i := range cs.specs {
+		k := cs.specs[i].kind
+		byKind[k] = append(byKind[k], i)
+	}
+	gen := rand.New(rand.NewSource(17))
+	bases := projectionBases(gen)
+	kinds := 0
+	for trial := 0; trial < 300; trial++ {
+		var cols []int
+		for k := range byKind {
+			// Every kind in even trials; a random subset, often without
+			// any noisy or debug counter, in odd ones.
+			n := 1 + gen.Intn(3)
+			if trial%2 == 1 {
+				n = gen.Intn(3) - 1
+			}
+			for ; n > 0; n-- {
+				cols = append(cols, byKind[k][gen.Intn(len(byKind[k]))])
+			}
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		for r := gen.Intn(3); r > 0; r-- {
+			cols = append(cols, cols[gen.Intn(len(cols))])
+		}
+		gen.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+		seen := map[counterKind]bool{}
+		for _, c := range cols {
+			seen[cs.specs[c].kind] = true
+		}
+		if len(seen) == len(byKind) {
+			kinds++
+		}
+
+		p := cs.Project(cols)
+		window := make([][]float64, 1+gen.Intn(4))
+		for i := range window {
+			window[i] = bases[gen.Intn(len(bases))]
+		}
+		full := Aggregate(window)
+		read := p.AggregateInto(nil, window)
+		seed := gen.Int63()
+		fullRNG, readRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for _, norm := range []bool{true, false} {
+			want := p.Snapshot(full, norm, fullRNG)
+			got := p.Snapshot(read, norm, readRNG)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("trial %d, columns %v (normalize %v): output %d (%s) = %v from the read signals, %v from all",
+						trial, cols, norm, j, cs.Names[cols[j]], got[j], want[j])
+				}
+			}
+		}
+		if a, b := fullRNG.Int63(), readRNG.Int63(); a != b {
+			t.Fatalf("trial %d, columns %v: noise stream left in another state", trial, cols)
+		}
+	}
+	if kinds == 0 {
+		t.Fatal("no column list drew from all six kinds")
+	}
+}
+
+// TestProjectMemo: concurrent Project calls on one set return one
+// projection per column list, whatever slice holds the list; the set
+// keeps a copy of the list, so changing the caller's slice afterwards
+// changes neither the memo nor its projection; and each set has its own
+// memo.
+func TestProjectMemo(t *testing.T) {
+	cs := NewStandardCounterSet()
+	lists := [][]int{{0, 1, 2}, {5, 5, 900}, nil, {}, {935, 0}, {2, 1, 0}, {60, 200, 400, 800}}
+	const workers = 8
+	got := make([][]*Projection, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for i, l := range lists {
+					p := cs.Project(slices.Clone(l))
+					if r == 0 {
+						got[w] = append(got[w], p)
+					} else if p != got[w][i] {
+						t.Errorf("list %v: a repeated call returned another projection", l)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, l := range lists {
+		for w := range got {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("list %v: workers got different projections", l)
+			}
+		}
+		for j := 0; j < i; j++ {
+			if got[0][i] == got[0][j] {
+				t.Errorf("lists %v and %v share a projection", l, lists[j])
+			}
+		}
+	}
+
+	cols := []int{3, 4}
+	p := cs.Project(cols)
+	cols[0] = 7
+	if cs.Project([]int{3, 4}) != p {
+		t.Error("changing the caller's slice changed the memo")
+	}
+	base := make([]float64, NumBase)
+	for i := range base {
+		base[i] = float64(i + 1)
+	}
+	if v := p.Snapshot(base, false, nil); v[0] != base[3] || v[1] != base[4] {
+		t.Errorf("changing the caller's slice changed the projection: snapshot %v", v)
+	}
+	if q := cs.Project(cols); q == p || q.Snapshot(base, false, nil)[0] != base[7] {
+		t.Error("the changed list did not get its own projection")
+	}
+	if NewStandardCounterSet().Project([]int{3, 4}) == p {
+		t.Error("two counter sets share a projection")
+	}
 }

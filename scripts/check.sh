@@ -16,22 +16,27 @@ go vet ./...
 # it compiles the benchmark against the internal packages it imports.
 go vet -C perfbench ./...
 
-echo "== perfbench smoke runs (study, replay, fleet; 1 s each)"
+echo "== perfbench smoke runs (study, replay, fleet, traced replay; 1 s each)"
 # Each workload's verify re-checks its measured rounds: study redeploys
 # round 0 after the deployment DAG served every later round and requires
 # DeepEqual results, replay compares its deployments with the exact path.
-# The build lands in the git-ignored .bench_build/. The last line of each
-# run must report a correct run with no failed operation.
-for w in study replay fleet; do
-    line=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 | tail -n 1)
-    echo "$w: $line"
+# The traced replay run wraps every model in the ledger's timed
+# predictor, which must forward what the model reads; its verify
+# redeploys round 0 untraced and requires DeepEqual results. The build
+# lands in the git-ignored .bench_build/. The last line of each run must
+# report a correct run with no failed operation.
+for run in "study 0" "replay 0" "fleet 0" "replay 1"; do
+    set -- $run
+    w=$1 traced=$2
+    line=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace "$traced" | tail -n 1)
+    echo "$w (trace $traced): $line"
     case "$line" in
     *'"correct":true'*) ;;
-    *) echo "perfbench $w: not a correct run" >&2; exit 1 ;;
+    *) echo "perfbench $w (trace $traced): not a correct run" >&2; exit 1 ;;
     esac
     case "$line" in
     *'"failed":0'[,}]*) ;;
-    *) echo "perfbench $w: failed operations" >&2; exit 1 ;;
+    *) echo "perfbench $w (trace $traced): failed operations" >&2; exit 1 ;;
     esac
 done
 
@@ -60,7 +65,11 @@ echo "== go test -race (worker pool + observability + robustness packages)"
 # internal/uarch because a trace's deployment tape is recorded once and
 # replayed by every concurrent deployment of that trace; internal/surrogate
 # because its concurrent deployments share the event log and the
-# deployment counters with exact ones.
+# deployment counters with exact ones, and read their recording's
+# residual-table hits without the lock while another deployment publishes
+# a longer slot list; internal/telemetry and internal/core also because
+# concurrent deployments of one controller share its counter set's
+# projection memo.
 go test -race -timeout 25m ./internal/parallel/... ./internal/dataset/... ./internal/obs/... \
     ./internal/fault/... ./internal/mcu/... ./internal/core/... ./internal/fleet/... \
     ./internal/ctrlplane/... ./internal/telemetry/... ./internal/uarch/... ./internal/surrogate/... \
